@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 __all__ = ["filter_metadata", "filter_profile", "filter_stats"]
 
 
@@ -38,11 +36,7 @@ def filter_profile(tk, profiles: Sequence[Any]):
     meta_mask = tk.metadata.index.isin(wanted)
     new_meta = tk.metadata[meta_mask]
 
-    perf_mask = np.fromiter(
-        (t[1] in wanted for t in tk.dataframe.index.values),
-        dtype=bool, count=len(tk.dataframe),
-    )
-    new_perf = tk.dataframe[perf_mask]
+    new_perf = tk.dataframe[tk.dataframe.index.partition(1).row_mask(wanted)]
 
     return Thicket(tk.graph, new_perf, new_meta,
                    profiles=[p for p in tk.profile if p in wanted],
@@ -64,16 +58,8 @@ def filter_stats(tk, predicate: Callable[[dict], bool]):
     keep_nodes = [
         node for node, row in tk.statsframe.iterrows() if predicate(row)
     ]
-    keep_set = set(keep_nodes)
-
-    stats_mask = tk.statsframe.index.isin(keep_set)
-    new_stats = tk.statsframe[stats_mask]
-
-    perf_mask = np.fromiter(
-        (t[0] in keep_set for t in tk.dataframe.index.values),
-        dtype=bool, count=len(tk.dataframe),
-    )
-    new_perf = tk.dataframe[perf_mask]
+    new_stats = tk.statsframe[tk.statsframe.index.isin(keep_nodes)]
+    new_perf = tk.dataframe[tk.dataframe.index.partition(0).row_mask(keep_nodes)]
 
     out = Thicket(tk.graph, new_perf, tk.metadata.copy(),
                   statsframe=new_stats, profiles=list(tk.profile),

@@ -98,8 +98,8 @@ def concat_thickets(thickets: Sequence[Any], axis: str = "columns",
         if default is None and tk.default_metric is not None:
             default = (header, tk.default_metric)
 
-    profiles = list({t[1] for t in perf.index.values})
-    out = Thicket(union_graph, perf, metadata, profiles=profiles,
+    out = Thicket(union_graph, perf, metadata,
+                  profiles=list(metadata.index.values),
                   exc_metrics=exc, inc_metrics=inc, default_metric=default)
     return out
 
@@ -107,30 +107,38 @@ def concat_thickets(thickets: Sequence[Any], axis: str = "columns",
 def _match_by_name(thickets: list[Any]):
     """Identify nodes across thickets by frame name.
 
+    Only the nodes a thicket measures (those with performance rows)
+    take part, so a filtered thicket that still carries the full
+    ensemble graph matches like one composed from its profiles alone.
     The composed graph is the first thicket's tree squashed to the
-    names present in *every* input (duplicate names within one tree
-    resolve to the first occurrence in traversal order).
+    measured nodes whose names every input measures (duplicate names
+    within one tree resolve to the first occurrence in traversal
+    order).
     """
     from ..graph.squash import squash_graph
 
-    shared: set[str] | None = None
+    measured = []
     for tk in thickets:
-        names = {n.frame.name for n in tk.graph}
+        rows = set(tk.dataframe.index.partition(0).uniques)
+        measured.append([n for n in tk.graph if n in rows])
+
+    shared: set[str] | None = None
+    for nodes in measured:
+        names = {n.frame.name for n in nodes}
         shared = names if shared is None else (shared & names)
     shared = shared or set()
 
-    base = thickets[0]
-    keep = {n for n in base.graph if n.frame.name in shared}
-    new_graph, base_map = squash_graph(base.graph, keep)
+    keep = [n for n in measured[0] if n.frame.name in shared]
+    new_graph, base_map = squash_graph(thickets[0].graph, set(keep))
     name_to_new: dict[str, Any] = {}
     for node in keep:
         name_to_new.setdefault(node.frame.name, base_map[node])
 
     maps = []
-    for tk in thickets:
+    for nodes in measured:
         mapping = {}
         seen: set[str] = set()
-        for node in tk.graph:
+        for node in nodes:
             name = node.frame.name
             if name in name_to_new and name not in seen:
                 mapping[node] = name_to_new[name]

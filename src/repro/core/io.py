@@ -33,6 +33,7 @@ import numpy as np
 
 from ..errors import CorruptStoreError, PersistenceError
 from ..frame import DataFrame, Index, MultiIndex
+from ..frame.ops import coerce_column
 from ..graph import Graph
 from ..ioutil import atomic_write_text, canonical_json, sha256_of
 
@@ -65,16 +66,23 @@ def _float_columns(df: DataFrame) -> list:
 
 
 def _decode_columns(table: dict, cols: list) -> dict:
-    """Column → value list, with ``null`` restored to ``np.nan`` in the
+    """Column → values, with ``null`` restored to ``np.nan`` in the
     columns the store marked as floats (v2; v1 has no marks and relies
-    on mixed-value inference in the frame layer)."""
+    on mixed-value inference in the frame layer).  An unmarked v2
+    column comes back as an object column where inference would make
+    it float (numbers mixed with ``None``), as it was when saved, so
+    save → load → save is byte-identical."""
     float_cols = {_decode_key(c) for c in table.get("float_columns", [])}
+    marked = "float_columns" in table
     data = table["data"]
     out = {}
     for j, c in enumerate(cols):
         values = [row[j] for row in data]
-        if c in float_cols:
-            values = [np.nan if v is None else float(v) for v in values]
+        if c in float_cols:  # an array, so an empty column stays float
+            values = np.array([np.nan if v is None else v for v in values],
+                              dtype=np.float64)
+        elif marked and coerce_column(values).dtype.kind == "f":
+            values = np.fromiter(values, dtype=object, count=len(values))
         out[c] = values
     return out
 

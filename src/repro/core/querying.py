@@ -30,11 +30,7 @@ def query_thicket(tk, matcher: QueryMatcher, squash: bool = True):
     from ..frame import MultiIndex
     from .thicket import Thicket
 
-    # Build per-node row positions once: node -> positions in perf data.
-    positions: dict[Node, list[int]] = {}
-    for i, t in enumerate(tk.dataframe.index.values):
-        positions.setdefault(t[0], []).append(i)
-
+    part = tk.dataframe.index.partition(0)
     columns = tk.dataframe.columns
 
     class _RowView:
@@ -42,14 +38,16 @@ def query_thicket(tk, matcher: QueryMatcher, squash: bool = True):
 
         __slots__ = ("_pos",)
 
-        def __init__(self, pos: list[int]):
+        def __init__(self, pos: np.ndarray):
             self._pos = pos
 
         def __getitem__(self, col: Any) -> Series:
             if col not in tk.dataframe:
                 raise KeyError(col)
-            arr = tk.dataframe.column(col)
-            return Series([arr[i] for i in self._pos], name=col)
+            values = tk.dataframe.column(col)[self._pos]
+            if values.dtype == object:  # infer a type for this node's rows
+                values = list(values)
+            return Series(values, name=col)
 
         def __contains__(self, col: Any) -> bool:
             return col in tk.dataframe
@@ -58,16 +56,11 @@ def query_thicket(tk, matcher: QueryMatcher, squash: bool = True):
             return list(columns)
 
     def row_view(node: Node):
-        return _RowView(positions.get(node, []))
+        return _RowView(part.positions(node))
 
     matched = matcher.apply(tk.graph, row_view)
     matched_set = set(matched)
-
-    perf_mask = np.fromiter(
-        (t[0] in matched_set for t in tk.dataframe.index.values),
-        dtype=bool, count=len(tk.dataframe),
-    )
-    new_perf = tk.dataframe[perf_mask]
+    new_perf = tk.dataframe[part.row_mask(matched)]
 
     if squash:
         new_graph, node_map = squash_graph(tk.graph, matched_set)

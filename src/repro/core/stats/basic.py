@@ -13,7 +13,14 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .calc import apply_nodewise, grouped_values, resolve_columns, suffix_key
+from ...frame.segment import Segments
+from .calc import (
+    apply_nodewise,
+    grouped_values,
+    reduce_nodewise,
+    resolve_columns,
+    suffix_key,
+)
 
 __all__ = [
     "mean",
@@ -33,43 +40,37 @@ __all__ = [
 
 def mean(tk, columns: Sequence[Hashable] | None = None) -> list[Hashable]:
     """Per-node mean across profiles."""
-    return apply_nodewise(tk, columns, "mean", np.mean)
+    return apply_nodewise(tk, columns, "mean", "mean")
 
 
 def median(tk, columns: Sequence[Hashable] | None = None) -> list[Hashable]:
     """Per-node median across profiles."""
-    return apply_nodewise(tk, columns, "median", np.median)
+    return apply_nodewise(tk, columns, "median", "median")
 
 
 def minimum(tk, columns: Sequence[Hashable] | None = None) -> list[Hashable]:
     """Per-node minimum across profiles."""
-    return apply_nodewise(tk, columns, "min", np.min)
+    return apply_nodewise(tk, columns, "min", "min")
 
 
 def maximum(tk, columns: Sequence[Hashable] | None = None) -> list[Hashable]:
     """Per-node maximum across profiles."""
-    return apply_nodewise(tk, columns, "max", np.max)
+    return apply_nodewise(tk, columns, "max", "max")
 
 
 def std(tk, columns: Sequence[Hashable] | None = None) -> list[Hashable]:
     """Per-node sample standard deviation across profiles."""
-    return apply_nodewise(
-        tk, columns, "std",
-        lambda a: float(np.std(a, ddof=1)) if len(a) > 1 else 0.0,
-    )
+    return apply_nodewise(tk, columns, "std", "std")
 
 
 def variance(tk, columns: Sequence[Hashable] | None = None) -> list[Hashable]:
     """Per-node sample variance across profiles."""
-    return apply_nodewise(
-        tk, columns, "var",
-        lambda a: float(np.var(a, ddof=1)) if len(a) > 1 else 0.0,
-    )
+    return apply_nodewise(tk, columns, "var", "var")
 
 
 def sum_profiles(tk, columns: Sequence[Hashable] | None = None) -> list[Hashable]:
     """Per-node sum across profiles."""
-    return apply_nodewise(tk, columns, "sum", np.sum)
+    return apply_nodewise(tk, columns, "sum", "sum")
 
 
 def percentiles(tk, columns: Sequence[Hashable] | None = None,
@@ -79,15 +80,14 @@ def percentiles(tk, columns: Sequence[Hashable] | None = None,
 
     Column names follow Thicket: ``<col>_percentiles_<q*100>``.
     """
-    created: list[Hashable] = []
     for q in quantiles:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
-        created.extend(apply_nodewise(
-            tk, columns, f"percentiles_{int(round(q * 100))}",
-            lambda a, q=q: float(np.percentile(a, q * 100.0)),
-        ))
-    return created
+    return reduce_nodewise(tk, columns, {
+        f"percentiles_{int(round(q * 100))}":
+            lambda segs, q=q: segs.quantile(q)
+        for q in quantiles
+    })
 
 
 def correlation_nodewise(tk, column1: Hashable, column2: Hashable,
@@ -171,24 +171,16 @@ def check_normality(tk, columns: Sequence[Hashable] | None = None,
 def boxplot_stats(tk, columns: Sequence[Hashable] | None = None,
                   whisker: float = 1.5) -> list[Hashable]:
     """Tukey boxplot components per node: q1/q3/iqr/lowerfence/upperfence."""
-    created: list[Hashable] = []
-    for col in resolve_columns(tk, columns):
-        _, arrays = grouped_values(tk, col)
-        comps = {"q1": [], "q3": [], "iqr": [], "lowerfence": [], "upperfence": []}
-        for a in arrays:
-            if not len(a):
-                for v in comps.values():
-                    v.append(float("nan"))
-                continue
-            q1, q3 = np.percentile(a, [25, 75])
-            iqr = q3 - q1
-            comps["q1"].append(float(q1))
-            comps["q3"].append(float(q3))
-            comps["iqr"].append(float(iqr))
-            comps["lowerfence"].append(float(q1 - whisker * iqr))
-            comps["upperfence"].append(float(q3 + whisker * iqr))
-        for part, values in comps.items():
-            out_key = suffix_key(col, part)
-            tk.statsframe[out_key] = values
-            created.append(out_key)
-    return created
+    def q1(segs: Segments) -> np.ndarray:
+        return segs.quantile(0.25)
+
+    def q3(segs: Segments) -> np.ndarray:
+        return segs.quantile(0.75)
+
+    return reduce_nodewise(tk, columns, {
+        "q1": q1,
+        "q3": q3,
+        "iqr": lambda segs: q3(segs) - q1(segs),
+        "lowerfence": lambda segs: q1(segs) - whisker * (q3(segs) - q1(segs)),
+        "upperfence": lambda segs: q3(segs) + whisker * (q3(segs) - q1(segs)),
+    })

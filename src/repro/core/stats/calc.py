@@ -9,15 +9,16 @@ the paper's Fig. 9 (``Retiring_std``, ``time (exc)_std``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ...frame.ops import numeric_values
+from ...frame.segment import SEGMENT_KERNELS, Segments, segment_values
 from ...obs import counter as obs_counter
 from ...obs import span as obs_span
 
-__all__ = ["apply_nodewise", "suffix_key", "resolve_columns", "grouped_values"]
+__all__ = ["apply_nodewise", "reduce_nodewise", "suffix_key",
+           "resolve_columns", "grouped_values"]
 
 
 def suffix_key(col: Hashable, suffix: str) -> Hashable:
@@ -37,6 +38,22 @@ def resolve_columns(tk, columns: Sequence[Hashable] | None) -> list[Hashable]:
     return list(columns)
 
 
+def _node_segments(tk, column: Hashable,
+                  drop_nonfinite: bool = True) -> Segments:
+    """A metric's values grouped by the codes of the performance
+    index's cached node partition (see :func:`grouped_values`)."""
+    obs_counter("stats.grouped_values")
+    return segment_values(tk.dataframe.column(column),
+                          tk.dataframe.index.partition(0),
+                          drop_nonfinite=drop_nonfinite)
+
+
+def _statsframe_codes(tk) -> np.ndarray:
+    """Node-partition code of each statsframe row (-1: no perf rows)."""
+    part = tk.dataframe.index.partition(0)
+    return part.codes_of(tk.statsframe.index.values)
+
+
 def grouped_values(tk, column: Hashable,
                    drop_nonfinite: bool = True) -> tuple[list, list[np.ndarray]]:
     """Per-node float arrays of a metric across profiles.
@@ -47,35 +64,57 @@ def grouped_values(tk, column: Hashable,
     sparse partial-ensemble tables degrade gracefully instead of
     propagating ``inf`` through every reduction.
     """
-    obs_counter("stats.grouped_values")
-    positions: dict[Any, list[int]] = {}
-    for i, t in enumerate(tk.dataframe.index.values):
-        positions.setdefault(t[0], []).append(i)
-    col = tk.dataframe.column(column)
-    nodes = list(tk.statsframe.index.values)
-    arrays = []
-    for node in nodes:
-        pos = positions.get(node, [])
-        arrays.append(
-            numeric_values(col[pos], drop_nonfinite=drop_nonfinite)
-            if pos else np.empty(0))
-    return nodes, arrays
+    arrays = _node_segments(tk, column, drop_nonfinite).arrays()
+    empty = np.empty(0)
+    return (list(tk.statsframe.index.values),
+            [arrays[c] if c >= 0 else empty for c in _statsframe_codes(tk)])
+
+
+def reduce_nodewise(tk, columns: Sequence[Hashable] | None,
+                    kernels: Mapping[str, Callable[[Segments], np.ndarray]]
+                    ) -> list[Hashable]:
+    """Reduce each column per node with every kernel; append to the
+    statsframe as ``<column>_<suffix>``.
+
+    Each column is grouped once for all kernels.  A node without
+    values gets NaN.  Returns the created statsframe column keys,
+    kernel-major.
+    """
+    cols = resolve_columns(tk, columns)
+    codes = _statsframe_codes(tk)
+    has_rows = codes >= 0
+    results: dict[str, list[np.ndarray]] = {k: [] for k in kernels}
+    with obs_span("stats.apply_nodewise", stat=",".join(kernels),
+                  columns=len(cols)):
+        for col in cols:
+            segs = _node_segments(tk, col)
+            for suffix, kernel in kernels.items():
+                out = np.full(len(codes), np.nan)
+                out[has_rows] = kernel(segs)[codes[has_rows]]
+                results[suffix].append(out)
+    created = []
+    for suffix, per_col in results.items():
+        for col, values in zip(cols, per_col):
+            out_key = suffix_key(col, suffix)
+            tk.statsframe[out_key] = values
+            created.append(out_key)
+    return created
 
 
 def apply_nodewise(tk, columns: Sequence[Hashable] | None, suffix: str,
-                   reducer: Callable[[np.ndarray], float]) -> list[Hashable]:
+                   reducer: str | Callable[[np.ndarray], float]
+                   ) -> list[Hashable]:
     """Reduce each column per node and append to the statsframe.
 
-    Returns the list of created statsframe column keys.
+    *reducer* names a segment kernel (``"mean"``, ``"std"``, ...; see
+    :data:`repro.frame.segment.SEGMENT_KERNELS`) or is a callable
+    applied to each node's array of values.  Returns the list of
+    created statsframe column keys.
     """
-    created = []
-    cols = resolve_columns(tk, columns)
-    with obs_span("stats.apply_nodewise", stat=suffix, columns=len(cols)):
-        for col in cols:
-            _, arrays = grouped_values(tk, col)
-            out_key = suffix_key(col, suffix)
-            tk.statsframe[out_key] = [
-                reducer(a) if len(a) else float("nan") for a in arrays
-            ]
-            created.append(out_key)
-    return created
+    if isinstance(reducer, str):
+        kernel = SEGMENT_KERNELS[reducer]
+    else:
+        def kernel(segs: Segments) -> np.ndarray:
+            return np.array([reducer(a) if len(a) else np.nan
+                             for a in segs.arrays()], dtype=np.float64)
+    return reduce_nodewise(tk, columns, {suffix: kernel})

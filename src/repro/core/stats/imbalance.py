@@ -13,7 +13,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .calc import grouped_values, suffix_key
+from .calc import apply_nodewise, suffix_key
 
 __all__ = ["load_imbalance"]
 
@@ -38,13 +38,5 @@ def load_imbalance(tk, avg_column: Hashable = "Avg time/rank",
     row_key = suffix_key(avg_column, "imbalance")
     tk.dataframe[row_key] = factor
 
-    _, arrays = grouped_values(tk, row_key)
-    mean_key = suffix_key(row_key, "mean")
-    max_key = suffix_key(row_key, "max")
-    tk.statsframe[mean_key] = [
-        float(np.mean(a)) if len(a) else float("nan") for a in arrays
-    ]
-    tk.statsframe[max_key] = [
-        float(np.max(a)) if len(a) else float("nan") for a in arrays
-    ]
-    return [mean_key, max_key]
+    return (apply_nodewise(tk, [row_key], "mean", "mean")
+            + apply_nodewise(tk, [row_key], "max", "max"))

@@ -185,11 +185,7 @@ class Thicket:
         else:
             perf = _sort_perfdata(perf, union_graph, profile_ids)
             if node_filter is not None:
-                mask = np.fromiter(
-                    (t[0] in node_filter for t in perf.index.values),
-                    dtype=bool, count=len(perf),
-                )
-                perf = perf[mask]
+                perf = perf[perf.index.partition(0).row_mask(node_filter)]
 
         if node_filter is not None:
             from ..graph.squash import squash_graph
@@ -456,18 +452,20 @@ class Thicket:
         """
         from ..graph.squash import squash_graph
 
-        counts: dict[Node, set] = {}
-        for t in self.dataframe.index.values:
-            counts.setdefault(t[0], set()).add(t[1])
+        index = self.dataframe.index
+        nodes, profs = index.partition(0), index.partition(1)
         full = set(self.profile)
-        keep = {n for n, profs in counts.items() if profs == full}
+        in_full = np.array([p in full for p in profs.uniques], dtype=bool)
+        measured = np.zeros((len(nodes.uniques), len(profs.uniques)),
+                            dtype=bool)
+        measured[nodes.codes, profs.codes] = True
+        # a node is kept when its rows cover exactly this thicket's profiles
+        keep_code = ((measured[:, in_full].sum(axis=1) == len(full))
+                     & ~measured[:, ~in_full].any(axis=1))
+        keep = {nodes.uniques[c] for c in np.flatnonzero(keep_code)}
 
         new_graph, node_map = squash_graph(self.graph, keep)
-        mask = np.fromiter(
-            (t[0] in keep for t in self.dataframe.index.values),
-            dtype=bool, count=len(self.dataframe),
-        )
-        perf = self.dataframe[mask]
+        perf = self.dataframe[keep_code[nodes.codes]]
         perf.index = MultiIndex(
             [(node_map[t[0]], t[1]) for t in perf.index.values],
             names=["node", "profile"],

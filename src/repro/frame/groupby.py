@@ -1,8 +1,10 @@
 """Split-apply-combine over DataFrames.
 
 Supports grouping by one or more columns *or* by a level of a
-MultiIndex.  The grouper materializes positional partitions once;
-aggregations then run one numpy kernel per (group, column) pair.
+MultiIndex.  The grouper works on one :class:`LevelPartition` of the
+rows — for a level, the one cached on the index — and the named
+numeric aggregations reduce every group of a column at once with the
+segment kernels of :mod:`repro.frame.segment`.
 Thicket's aggregated-statistics table is a groupby over the ``node``
 level of the performance data.
 """
@@ -15,8 +17,9 @@ import numpy as np
 
 from ..obs import span as obs_span
 from .dataframe import DataFrame
-from .index import Index, MultiIndex, sort_positions
+from .index import Index, LevelPartition, MultiIndex, factorize, sort_positions
 from .ops import resolve_aggregation
+from .segment import SEGMENT_KERNELS, segment_values
 
 __all__ = ["GroupBy"]
 
@@ -45,22 +48,35 @@ class GroupBy:
         ):
             by = [by]
         self._by: list[Hashable] | None = list(by) if by is not None else None
+        self._part: LevelPartition | None = None
+        self._order: list[int] | None = None
         self._groups: dict[Any, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    def _key_values(self) -> list[Any]:
-        df = self._df
-        if self._level is not None:
-            if isinstance(df.index, MultiIndex):
-                num = df.index.level_number(self._level)
-                return [t[num] for t in df.index.values]
-            if self._level in (0, df.index.name):
-                return list(df.index.values)
-            raise KeyError(f"level {self._level!r} not found")
-        assert self._by is not None
-        if len(self._by) == 1:
-            return list(df.column(self._by[0]))
-        return list(zip(*(df.column(k) for k in self._by)))
+    @property
+    def _rows(self) -> LevelPartition:
+        """Rows by group key: the index's cached level partition for
+        ``level=``, a fresh factorization of the key column(s) for
+        ``by=``."""
+        if self._part is None:
+            df = self._df
+            if self._level is not None:
+                self._part = df.index.partition(self._level)
+            else:
+                assert self._by is not None
+                if len(self._by) == 1:
+                    keys = df.column(self._by[0])
+                else:
+                    keys = zip(*(df.column(k) for k in self._by))
+                self._part = factorize(keys)
+        return self._part
+
+    @property
+    def _key_order(self) -> list[int]:
+        """Codes of the partition in group-key sort order."""
+        if self._order is None:
+            self._order = sort_positions(self._rows.uniques)
+        return self._order
 
     @property
     def groups(self) -> dict[Any, np.ndarray]:
@@ -68,15 +84,9 @@ class GroupBy:
         if self._groups is None:
             with obs_span("frame.groupby.partition",
                           rows=len(self._df)) as s:
-                buckets: dict[Any, list[int]] = {}
-                for i, key in enumerate(self._key_values()):
-                    buckets.setdefault(key, []).append(i)
-                order = sort_positions(list(buckets.keys()))
-                keys = list(buckets.keys())
-                self._groups = {
-                    keys[i]: np.asarray(buckets[keys[i]], dtype=np.intp)
-                    for i in order
-                }
+                part = self._rows
+                self._groups = {part.uniques[c]: part.segment(c)
+                                for c in self._key_order}
                 s.set("groups", len(self._groups))
         return self._groups
 
@@ -105,31 +115,27 @@ class GroupBy:
         """
         df = self._df
         if isinstance(how, Mapping):
-            spec: list[tuple[Hashable, Hashable, Callable]] = []
+            spec: list[tuple[Hashable, Hashable, str | Callable]] = []
             for col, fns in how.items():
                 if isinstance(fns, (str,)) or callable(fns):
                     fns = [fns]
                 multi = len(fns) > 1
                 for fn in fns:
-                    fn_callable = resolve_aggregation(fn)
                     name = fn if isinstance(fn, str) else getattr(fn, "__name__", "agg")
                     out_key = _suffix_key(col, name) if multi else col
-                    spec.append((out_key, col, fn_callable))
+                    spec.append((out_key, col, fn))
         else:
-            fn_callable = resolve_aggregation(how)
             key_cols = set(self._by or [])
-            spec = [
-                (c, c, fn_callable) for c in df.columns if c not in key_cols
-            ]
+            spec = [(c, c, how) for c in df.columns if c not in key_cols]
 
-        groups = self.groups
-        keys = list(groups.keys())
+        part = self._rows
+        order = self._key_order
+        keys = [part.uniques[c] for c in order]
         with obs_span("frame.groupby.agg", groups=len(keys),
                       columns=len(spec)):
             out = DataFrame(index=self._result_index(keys))
             for out_key, col, fn in spec:
-                values = df.column(col)
-                out[out_key] = [fn(values[pos]) for pos in groups.values()]
+                out[out_key] = _aggregate(df.column(col), part, fn, order)
         return out
 
     def _result_index(self, keys: list[Any]) -> Index:
@@ -171,6 +177,17 @@ class GroupBy:
     def apply(self, fn: Callable[[DataFrame], Any]) -> dict[Any, Any]:
         """Apply *fn* to each group's sub-frame; returns key → result."""
         return {key: fn(sub) for key, sub in self}
+
+
+def _aggregate(values: np.ndarray, part: LevelPartition,
+               how: str | Callable, order: list[int]) -> np.ndarray | list:
+    """The aggregate of each partition code in *order*: a segment
+    kernel for the named numeric reductions, else one call per group."""
+    kernel = SEGMENT_KERNELS.get(how) if isinstance(how, str) else None
+    if kernel is not None:
+        return kernel(segment_values(values, part))[order]
+    fn = resolve_aggregation(how)
+    return [fn(values[part.segment(c)]) for c in order]
 
 
 def _suffix_key(col: Hashable, suffix: str) -> Hashable:

@@ -7,24 +7,87 @@ giving hierarchical (multi-level) indexing — the backbone of Thicket's
 
 Labels are stored in a numpy object array so heterogeneous label types
 (graph nodes, ints, strings) coexist without coercion.
+
+Each level of an index can be factorized into a :class:`LevelPartition`
+— the rows of every distinct label as one contiguous segment of a
+stable ordering.  The partition is computed on first use and cached on
+the index object; because an index never changes after construction,
+the cache never goes stale, and a frame that gets a new index gets a
+new (empty) cache with it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Index", "MultiIndex", "RangeIndex", "ensure_index"]
+__all__ = ["Index", "MultiIndex", "RangeIndex", "LevelPartition",
+           "ensure_index", "factorize"]
 
 
 def _as_object_array(values: Iterable[Any]) -> np.ndarray:
     """Build a 1-D object array without numpy flattening tuple elements."""
-    values = list(values)
-    arr = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        arr[i] = v
-    return arr
+    return np.fromiter(values, dtype=object)
+
+
+class LevelPartition(NamedTuple):
+    """Rows grouped by label: the factorization of one index level.
+
+    ``uniques[c]`` is the label of code ``c`` (first-seen order) and
+    ``codes[i]`` the code of row ``i``.  ``order`` is a stable argsort
+    of ``codes``, so the rows of code ``c`` are
+    ``order[starts[c]:starts[c + 1]]``, in ascending row order.
+    """
+
+    uniques: list
+    codes: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    lookup: dict  # label -> code
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Number of rows per code."""
+        return np.diff(self.starts)
+
+    @property
+    def sorted_codes(self) -> np.ndarray:
+        """``codes[order]``: the code of each position of ``order``."""
+        return np.repeat(np.arange(len(self.uniques)), self.counts)
+
+    def segment(self, code: int) -> np.ndarray:
+        """Row positions of code *code*, ascending."""
+        return self.order[self.starts[code]:self.starts[code + 1]]
+
+    def positions(self, label: Any) -> np.ndarray:
+        """Row positions of *label* (empty if it labels no row)."""
+        code = self.lookup.get(label)
+        return self.order[:0] if code is None else self.segment(code)
+
+    def codes_of(self, labels: Iterable[Any]) -> np.ndarray:
+        """Code of each label; -1 for a label that labels no row."""
+        lookup = self.lookup
+        return np.array([lookup.get(lbl, -1) for lbl in labels],
+                        dtype=np.intp)
+
+    def row_mask(self, keep: Iterable[Any]) -> np.ndarray:
+        """Boolean row mask: True where the row's label is in *keep*."""
+        keep_code = np.zeros(len(self.uniques), dtype=bool)
+        codes = self.codes_of(keep)
+        keep_code[codes[codes >= 0]] = True
+        return keep_code[self.codes]
+
+
+def factorize(labels: Iterable[Any]) -> LevelPartition:
+    """Partition row positions by label (see :class:`LevelPartition`)."""
+    lookup: dict[Any, int] = {}
+    codes = np.fromiter((lookup.setdefault(v, len(lookup)) for v in labels),
+                        dtype=np.intp)
+    order = np.argsort(codes, kind="stable")
+    starts = np.zeros(len(lookup) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(codes, minlength=len(lookup)), out=starts[1:])
+    return LevelPartition(list(lookup), codes, order, starts, lookup)
 
 
 class Index:
@@ -38,7 +101,7 @@ class Index:
         Optional name for the index (e.g. ``"profile"``).
     """
 
-    __slots__ = ("_values", "name", "_loc_cache")
+    __slots__ = ("_values", "name", "_loc_cache", "_partitions")
 
     def __init__(self, values: Iterable[Any], name: Hashable | None = None):
         if isinstance(values, Index):
@@ -48,6 +111,7 @@ class Index:
         self._values = _as_object_array(values)
         self.name = name
         self._loc_cache: dict[Any, int] | None = None
+        self._partitions: dict[int, LevelPartition] = {}
 
     # ------------------------------------------------------------------
     # basic container protocol
@@ -115,6 +179,27 @@ class Index:
         loc = self._build_loc()
         return np.array([loc.get(lbl, -1) for lbl in labels], dtype=np.intp)
 
+    def level_number(self, level: int | Hashable) -> int:
+        if level in (0, self.name):
+            return 0
+        raise KeyError(f"level {level!r} not found")
+
+    def _level_labels(self, num: int) -> Iterable[Any]:
+        return self._values
+
+    def partition(self, level: int | Hashable = 0) -> LevelPartition:
+        """The cached :class:`LevelPartition` of one level's labels.
+
+        Computed on first use.  Threads racing on that first use may
+        each compute it, but all of them get the one that was cached.
+        """
+        num = self.level_number(level)
+        part = self._partitions.get(num)
+        if part is None:
+            part = self._partitions.setdefault(
+                num, factorize(self._level_labels(num)))
+        return part
+
     def isin(self, labels: Iterable[Any]) -> np.ndarray:
         wanted = set(labels)
         return np.fromiter(
@@ -158,11 +243,6 @@ class Index:
     def tolist(self) -> list:
         return list(self._values)
 
-    def argsort(self, reverse: bool = False) -> np.ndarray:
-        order = sorted(range(len(self)), key=lambda i: _sort_key(self._values[i]),
-                       reverse=reverse)
-        return np.asarray(order, dtype=np.intp)
-
     def has_duplicates(self) -> bool:
         return len(self._build_loc()) != len(self)
 
@@ -172,15 +252,6 @@ class Index:
 
     def equals(self, other: "Index") -> bool:
         return self == other
-
-
-def _sort_key(value: Any):
-    """Total order over mixed label types: group by type name, then value."""
-    try:
-        # fast path: homogeneous comparable values
-        return (0, value)
-    except TypeError:  # pragma: no cover - defensive
-        return (1, str(value))
 
 
 class _TotalOrderKey:
@@ -282,6 +353,9 @@ class MultiIndex(Index):
             return self.names.index(level)
         raise KeyError(f"level {level!r} not found in {self.names}")
 
+    def _level_labels(self, num: int) -> Iterable[Any]:
+        return (t[num] for t in self._values)
+
     def get_level_values(self, level: int | Hashable) -> Index:
         num = self.level_number(level)
         return Index([t[num] for t in self._values], name=self.names[num])
@@ -302,11 +376,7 @@ class MultiIndex(Index):
         return MultiIndex(self._values, names=list(names))
 
     def unique_level(self, level: int | Hashable) -> list:
-        seen: dict[Any, None] = {}
-        num = self.level_number(level)
-        for t in self._values:
-            seen.setdefault(t[num], None)
-        return list(seen.keys())
+        return list(self.partition(level).uniques)
 
     def __repr__(self) -> str:
         labels = ", ".join(repr(v) for v in self._values[:6])

@@ -71,19 +71,20 @@ def coerce_column(values: Any, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _value_kind(cls: type) -> str:
+    if cls is type(None):
+        return "none"
+    if issubclass(cls, (bool, np.bool_)):
+        return "bool"
+    if issubclass(cls, (int, np.integer)):
+        return "int"
+    if issubclass(cls, (float, np.floating)):
+        return "float"
+    return "object"
+
+
 def _infer_array(values: list) -> np.ndarray:
-    kinds = set()
-    for v in values:
-        if v is None:
-            kinds.add("none")
-        elif isinstance(v, (bool, np.bool_)):
-            kinds.add("bool")
-        elif isinstance(v, (int, np.integer)):
-            kinds.add("int")
-        elif isinstance(v, (float, np.floating)):
-            kinds.add("float")
-        else:
-            kinds.add("object")
+    kinds = {_value_kind(cls) for cls in set(map(type, values))}
     if kinds <= {"bool"}:
         return np.asarray(values, dtype=bool)
     if kinds <= {"int"}:
@@ -92,10 +93,7 @@ def _infer_array(values: list) -> np.ndarray:
         return np.asarray(
             [np.nan if v is None else float(v) for v in values], dtype=np.float64
         )
-    arr = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        arr[i] = v
-    return arr
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 def numeric_values(values: np.ndarray, drop_missing: bool = True,

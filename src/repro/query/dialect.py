@@ -228,7 +228,7 @@ class _Parser:
             except (KeyError, TypeError):
                 return False
             if hasattr(value, "apply") and hasattr(value, "all"):
-                return bool(value.apply(check).all())
+                return all(check(v) for v in value)  # stops at the first miss
             return bool(check(value))
 
         return compare

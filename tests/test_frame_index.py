@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.frame import Index, MultiIndex, RangeIndex, ensure_index
-from repro.frame.index import sort_positions
+from repro.frame.index import factorize, sort_positions
 
 
 class TestIndex:
@@ -145,6 +145,47 @@ class TestMultiIndex:
     def test_unique_level(self):
         mi = MultiIndex([("a", 1), ("a", 2), ("b", 1)], names=["k", "v"])
         assert mi.unique_level("k") == ["a", "b"]
+
+
+class TestLevelPartition:
+    def test_factorize_first_seen_codes_and_stable_segments(self):
+        part = factorize(["b", "a", "b", "c", "a"])
+        assert part.uniques == ["b", "a", "c"]
+        assert list(part.codes) == [0, 1, 0, 2, 1]
+        assert list(part.order) == [0, 2, 1, 4, 3]
+        assert list(part.starts) == [0, 2, 4, 5]
+        assert list(part.counts) == [2, 2, 1]
+        assert list(part.positions("a")) == [1, 4]
+        assert list(part.positions("zzz")) == []
+        assert list(part.codes_of(["c", "zzz"])) == [2, -1]
+        assert list(part.row_mask({"a", "zzz"})) == [
+            False, True, False, False, True]
+
+    def test_factorize_empty(self):
+        part = factorize([])
+        assert part.uniques == [] and len(part.codes) == 0
+        assert list(part.starts) == [0]
+
+    def test_partition_is_lazy_and_cached_per_level(self):
+        mi = MultiIndex([("a", 1), ("b", 1), ("a", 2)], names=["k", "v"])
+        assert mi._partitions == {}  # nothing computed at construction
+        by_name = mi.partition("k")
+        assert mi.partition(0) is by_name
+        assert mi.partition("v").uniques == [1, 2]
+        assert by_name.uniques == ["a", "b"]
+
+    def test_derived_index_gets_a_fresh_partition(self):
+        mi = MultiIndex([("a", 1), ("b", 1), ("a", 2)], names=["k", "v"])
+        mi.partition(0)
+        sub = mi[np.array([False, True, True])]
+        assert sub._partitions == {}
+        assert sub.partition(0).uniques == ["b", "a"]
+
+    def test_plain_index_partition(self):
+        idx = Index(["x", "y", "x"], name="k")
+        assert idx.partition("k") is idx.partition(0)
+        with pytest.raises(KeyError):
+            idx.partition("ghost")
 
 
 class TestHelpers:

@@ -122,6 +122,48 @@ class TestColumnsAxis:
         assert clusters == {"lassen"}
 
 
+class TestMatchByNameOnFilteredThickets:
+    """Filtered thickets keep the full ensemble graph; matching by name
+    must only use the nodes they measure."""
+
+    @staticmethod
+    def fig15_cpu(g):
+        return (g["variant"] == "Sequential"
+                and g["compiler"] == "clang++-9.0.0"
+                and g["compiler optimizations"] == "-O3" and g["rep"] == 0)
+
+    @staticmethod
+    def fig15_gpu(g):
+        return (g["variant"] == "CUDA" and g.get("block size") == 256
+                and g["rep"] == 0)
+
+    def test_filtered_inputs_compose_like_separate_ones(self):
+        from repro.core.filtering import filter_metadata
+        from repro.ingest import load_ensemble
+        from repro.workloads.campaign import iter_raja_profiles
+
+        raw = list(iter_raja_profiles(scale=0.2, base_seed=1))
+        payloads = [profile_to_cali_dict(p) for p in raw]
+        full = load_ensemble(payloads).thicket
+        kwargs = dict(axis="columns", headers=["CPU", "GPU"],
+                      metadata_key="problem_size", match_on="name")
+
+        filtered = concat_thickets([filter_metadata(full, self.fig15_cpu),
+                                    filter_metadata(full, self.fig15_gpu)],
+                                   **kwargs)
+        separate = concat_thickets([
+            load_ensemble([pl for pl, p in zip(payloads, raw)
+                           if pick(p["globals"])]).thicket
+            for pick in (self.fig15_cpu, self.fig15_gpu)], **kwargs)
+
+        shape = (len(separate.profile), len(separate.graph),
+                 len(separate.dataframe))
+        assert shape == (4, 47, 188)
+        assert (len(filtered.profile), len(filtered.graph),
+                len(filtered.dataframe)) == shape
+        assert filtered.validate().ok
+
+
 class TestIndexAxis:
     def test_stacks_profiles(self, cpu_tk):
         other = make_thicket(QUARTZ, (2097152, 8388608), topdown=True,

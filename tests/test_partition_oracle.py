@@ -1,0 +1,355 @@
+"""Differential oracle for the partitioned per-node operations.
+
+Every ``core.stats`` reduction, every named ``GroupBy.agg``, and the
+rows kept by ``filter_profile``, ``filter_stats``, ``query_thicket``
+and ``Thicket.intersection`` are compared with a deliberately naive
+reference: a dict of per-node value lists plus numpy.  The generated
+ensembles carry NaN and ±inf values, nodes with no rows, nodes whose
+values are all non-finite, an object-dtype numeric column holding
+``None``, perf rows in shuffled (not node) order, single-profile
+ensembles, and tuple (multi-architecture) columns from
+``concat_thickets(axis="columns")``.  Every output thicket must also
+validate and survive save → load → save byte-identically.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import Thicket, concat_thickets
+from repro.core import stats
+from repro.core.filtering import filter_profile, filter_stats
+from repro.core.querying import query_thicket
+from repro.frame import DataFrame, Index, MultiIndex
+from repro.frame.index import sort_positions
+from repro.graph import GraphFrame
+from repro.query import parse_string_dialect
+
+RTOL = 1e-9
+ATOL = 1e-12  # values that are zero up to rounding (a constant's variance)
+NAMES = ["main", "solve", "init", "kernel_a", "kernel_b", "io"]
+TREE = [{
+    "frame": {"name": "main"}, "metrics": {"t": 0.0},
+    "children": [
+        {"frame": {"name": "solve"}, "metrics": {"t": 0.0}, "children": [
+            {"frame": {"name": "kernel_a"}, "metrics": {"t": 0.0}},
+            {"frame": {"name": "kernel_b"}, "metrics": {"t": 0.0}},
+        ]},
+        {"frame": {"name": "init"}, "metrics": {"t": 0.0}},
+        {"frame": {"name": "io"}, "metrics": {"t": 0.0}},
+    ],
+}]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+finite = st.floats(0.001, 1000.0)
+metric_value = st.one_of(finite, finite, finite, st.sampled_from(NON_FINITE))
+object_value = st.one_of(st.none(), st.integers(1, 50), finite,
+                         st.sampled_from(NON_FINITE))
+
+
+@st.composite
+def ensembles(draw):
+    """Spec of one ensemble: profiles, present rows, values, row order."""
+    n_profiles = draw(st.integers(1, 4))
+    n_nodes = len(NAMES)
+    present = draw(st.lists(st.booleans(), min_size=n_nodes * n_profiles,
+                            max_size=n_nodes * n_profiles))
+    empty_node = draw(st.none() | st.integers(0, n_nodes - 1))
+    poisoned_node = draw(st.none() | st.integers(0, n_nodes - 1))
+    cells = [divmod(k, n_profiles) for k, p in enumerate(present)
+             if p and divmod(k, n_profiles)[0] != empty_node]
+    time = [math.inf if node == poisoned_node else draw(metric_value)
+            for node, _ in cells]
+    obj = [None if node == poisoned_node else draw(object_value)
+           for node, _ in cells]
+    order = draw(st.permutations(range(len(cells))))
+    return {"n_profiles": n_profiles, "cells": [cells[i] for i in order],
+            "time": [time[i] for i in order], "obj": [obj[i] for i in order]}
+
+
+def build(spec, scale: float = 1.0) -> Thicket:
+    graph = GraphFrame.from_literal(TREE).graph
+    by_name = {n.frame.name: n for n in graph}
+    nodes = [by_name[name] for name in NAMES]
+    profiles = [100 + p for p in range(spec["n_profiles"])]
+    index = MultiIndex([(nodes[n], profiles[p]) for n, p in spec["cells"]],
+                       names=["node", "profile"])
+    perf = DataFrame({
+        "name": [NAMES[n] for n, _ in spec["cells"]],
+        "time": [scale * v for v in spec["time"]],
+        "obj": np.array(spec["obj"], dtype=object),
+    }, index=index)
+    meta = DataFrame({"run": list(range(len(profiles)))},
+                     index=Index(profiles, name="profile"))
+    return Thicket(graph, perf, meta, profiles=profiles,
+                   exc_metrics=["time"])
+
+
+def multi_arch(spec) -> Thicket:
+    """Two architectures over the same tree and profiles, as tuple columns."""
+    return concat_thickets([build(spec), build(spec, scale=2.5)],
+                           axis="columns", headers=["CPU", "GPU"])
+
+
+# --- the naive reference -------------------------------------------------
+
+def naive_values(tk, column, nodes, drop_inf: bool) -> dict:
+    """Node → list of non-missing float values, in row order."""
+    out = {n: [] for n in nodes}
+    for (node, _), v in zip(tk.dataframe.index.values,
+                            tk.dataframe.column(column)):
+        if v is None or math.isnan(float(v)):
+            continue
+        if drop_inf and math.isinf(float(v)):
+            continue
+        if node in out:
+            out[node].append(float(v))
+    return out
+
+
+def sample_var(a):
+    return float(np.var(a, ddof=1)) if len(a) > 1 else 0.0
+
+
+REFERENCE = {
+    "mean": np.mean, "median": np.median, "min": np.min, "max": np.max,
+    "sum": np.sum, "var": sample_var,
+    "std": lambda a: float(np.std(a, ddof=1)) if len(a) > 1 else 0.0,
+}
+STATS = {"mean": stats.mean, "median": stats.median, "min": stats.minimum,
+         "max": stats.maximum, "sum": stats.sum_profiles,
+         "var": stats.variance, "std": stats.std}
+
+
+def reduce_naive(values: dict, fn) -> list:
+    return [float(fn(np.asarray(a))) if a else math.nan
+            for a in values.values()]
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(np.asarray(got, dtype=np.float64),
+                               np.asarray(want, dtype=np.float64),
+                               rtol=RTOL, atol=ATOL, equal_nan=True)
+
+
+def assert_stored_cleanly(tk):
+    report = tk.validate()
+    assert report.ok, [i.describe() for i in report.issues]
+    first = tk.to_json()
+    assert Thicket.from_json(first).to_json() == first
+
+
+def row_keys(tk) -> list:
+    return [(t[0].frame.name, t[1]) for t in tk.dataframe.index.values]
+
+
+def metric_columns(tk) -> list:
+    return [c for c in tk.dataframe.columns
+            if (c[-1] if isinstance(c, tuple) else c) in ("time", "obj")]
+
+
+# --- aggregated statistics -----------------------------------------------
+
+def check_stats(tk):
+    nodes = list(tk.statsframe.index.values)
+    columns = metric_columns(tk)
+    for stat, fn in STATS.items():
+        created = fn(tk, columns)
+        for col, key in zip(columns, created):
+            values = naive_values(tk, col, nodes, drop_inf=True)
+            assert_close(tk.statsframe.column(key),
+                         reduce_naive(values, REFERENCE[stat]))
+    quantiles = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
+    created = stats.percentiles(tk, columns, quantiles=quantiles)
+    assert len(created) == len(quantiles) * len(columns)
+    for k, q in enumerate(quantiles):
+        for col, key in zip(columns, created[k * len(columns):]):
+            values = naive_values(tk, col, nodes, drop_inf=True)
+            assert_close(tk.statsframe.column(key), reduce_naive(
+                values, lambda a, q=q: np.percentile(a, q * 100.0)))
+    created = stats.boxplot_stats(tk, columns, whisker=1.5)
+    for col in columns:
+        values = naive_values(tk, col, nodes, drop_inf=True)
+        q1 = np.asarray(reduce_naive(values,
+                                     lambda a: np.percentile(a, 25)))
+        q3 = np.asarray(reduce_naive(values,
+                                     lambda a: np.percentile(a, 75)))
+        want = {"q1": q1, "q3": q3, "iqr": q3 - q1,
+                "lowerfence": q1 - 1.5 * (q3 - q1),
+                "upperfence": q3 + 1.5 * (q3 - q1)}
+        for part, expected in want.items():
+            assert_close(tk.statsframe.column(stats.suffix_key(col, part)),
+                         expected)
+    for col in columns:
+        got_nodes, arrays = stats.grouped_values(tk, col)
+        values = naive_values(tk, col, nodes, drop_inf=True)
+        assert got_nodes == nodes
+        for node, a in zip(nodes, arrays):
+            assert list(a) == values[node]
+    assert_stored_cleanly(tk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensembles())
+def test_stats_match_naive_reference(spec):
+    check_stats(build(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ensembles())
+def test_stats_on_tuple_columns_match_naive_reference(spec):
+    tk = multi_arch(spec)
+    assert ("GPU", "time") in tk.dataframe
+    assert_stored_cleanly(tk)
+    check_stats(tk)
+
+
+# --- GroupBy.agg ---------------------------------------------------------
+
+AGG_REFERENCE = dict(REFERENCE, first=lambda a: a[0] if a else None,
+                     last=lambda a: a[-1] if a else None,
+                     count=len, nunique=lambda a: len(set(a)))
+
+
+def naive_groups(keys, values) -> dict:
+    groups: dict = {}
+    for key, v in zip(keys, values):
+        groups.setdefault(key, [])
+        if v is None or (isinstance(v, float) and math.isnan(v)):
+            continue
+        groups[key].append(v)
+    ordered = list(groups)
+    return {ordered[i]: groups[ordered[i]]
+            for i in sort_positions(ordered)}
+
+
+def check_agg(frame, keys, grouped):
+    columns = [c for c in frame.columns
+               if (c[-1] if isinstance(c, tuple) else c) in ("time", "obj")]
+    names = list(AGG_REFERENCE)
+    out = grouped.agg({c: names for c in columns})
+    for col in columns:
+        groups = naive_groups(keys, list(frame.column(col)))
+        assert list(out.index.values) == list(groups)
+        for name, fn in AGG_REFERENCE.items():
+            got = out.column(stats.suffix_key(col, name))
+            if name in ("first", "last", "count", "nunique"):
+                want = [fn(a) for a in groups.values()]
+                # a list mixing numbers and None becomes a float column
+                assert_close([math.nan if v is None else v for v in got],
+                             [math.nan if v is None else v for v in want])
+            else:
+                assert_close(got, [float(fn(np.asarray(a, dtype=float)))
+                                   if a else math.nan
+                                   for a in groups.values()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(ensembles())
+def test_groupby_agg_by_level_matches_naive_reference(spec):
+    perf = build(spec).dataframe
+    check_agg(perf, [t[0] for t in perf.index.values],
+              perf.groupby(level="node"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(ensembles())
+def test_groupby_agg_by_column_matches_naive_reference(spec):
+    perf = multi_arch(spec).dataframe
+    key = ("CPU", "name")
+    check_agg(perf, list(perf.column(key)), perf.groupby(key))
+
+
+def test_groupby_agg_rejects_non_numeric_objects():
+    perf = DataFrame({"k": ["a", "a", "b"],
+                      "v": np.array([1.0, "x", 2.0], dtype=object)})
+    with pytest.raises(TypeError):
+        perf.groupby("k").agg({"v": "mean"})
+
+
+def test_groupby_agg_custom_callable_sees_each_group():
+    perf = DataFrame({"t": [1.0, 2.0, 5.0]}, index=MultiIndex(
+        [("b", 1), ("a", 1), ("b", 2)], names=["node", "profile"]))
+    out = perf.groupby(level="node").agg({"t": lambda a: list(a)})
+    assert list(out.index.values) == ["a", "b"]
+    assert list(out.column("t")) == [[2.0], [1.0, 5.0]]
+
+
+# --- row selection -------------------------------------------------------
+
+def naive_kept(tk, keep_row) -> list:
+    return [(t[0].frame.name, t[1]) for t in tk.dataframe.index.values
+            if keep_row(t)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ensembles(), st.data())
+def test_filter_profile_keeps_naive_rows(spec, data):
+    tk = build(spec)
+    stats.mean(tk, ["time"])  # the partition is cached before filtering
+    wanted = data.draw(st.lists(st.sampled_from(tk.profile), unique=True))
+    out = filter_profile(tk, wanted)
+    assert row_keys(out) == naive_kept(tk, lambda t: t[1] in wanted)
+    assert out.profile == [p for p in tk.profile if p in wanted]
+    assert_stored_cleanly(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ensembles(), st.floats(0.0, 1000.0))
+def test_filter_stats_keeps_naive_rows(spec, threshold):
+    tk = build(spec)
+    stats.mean(tk, ["time"])
+    keep = {n for n, m in zip(tk.statsframe.index.values,
+                              tk.statsframe.column("time_mean"))
+            if m > threshold}
+    out = filter_stats(tk, lambda row: row["time_mean"] > threshold)
+    assert row_keys(out) == naive_kept(tk, lambda t: t[0] in keep)
+    assert set(out.statsframe.index.values) == keep
+    assert_stored_cleanly(out)
+
+
+def naive_all_above(values, threshold) -> bool:
+    def above(v):
+        try:
+            return float(v) > threshold
+        except (TypeError, ValueError):
+            return False
+    return all(above(v) for v in values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ensembles(), st.integers(0, 1000), st.booleans())
+def test_query_keeps_naive_rows(spec, whole, squash):
+    tk = build(spec)
+    threshold = whole + 0.5
+    per_node: dict = {n: [] for n in tk.graph}
+    for (node, _), v in zip(tk.dataframe.index.values,
+                            tk.dataframe.column("obj")):
+        per_node[node].append(v)
+    matched = {n for n, vals in per_node.items()
+               if naive_all_above(vals, threshold)}
+    query = parse_string_dialect(
+        f'MATCH (".", p) WHERE p."obj" > {whole}.5')
+    out = query_thicket(tk, query, squash=squash)
+    assert row_keys(out) == naive_kept(tk, lambda t: t[0] in matched)
+    if squash:
+        assert ({n.frame.name for n in out.graph}
+                == {n.frame.name for n in matched})
+    assert_stored_cleanly(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ensembles())
+def test_intersection_keeps_naive_rows(spec):
+    tk = build(spec)
+    measured: dict = {}
+    for node, profile in tk.dataframe.index.values:
+        measured.setdefault(node, set()).add(profile)
+    everywhere = {n for n, ps in measured.items() if ps == set(tk.profile)}
+    out = tk.intersection()
+    assert row_keys(out) == naive_kept(tk, lambda t: t[0] in everywhere)
+    assert_stored_cleanly(out)

@@ -207,3 +207,46 @@ class TestUniqueMetadataAndIntersection:
         inter = raja_thicket.intersection()
         assert len(inter.graph) == len(raja_thicket.graph)
         assert len(inter.dataframe) == len(raja_thicket.dataframe)
+
+
+class TestPartitionCache:
+    """The (node, profile) partition lives on the perf index object."""
+
+    def test_copy_shares_index_and_partition(self, raja_thicket, monkeypatch):
+        from repro.core import stats
+        from repro.frame import index as index_mod
+
+        stats.mean(raja_thicket, ["time (exc)"])
+        part = raja_thicket.dataframe.index.partition(0)
+        calls = []
+        real = index_mod.factorize
+        monkeypatch.setattr(index_mod, "factorize",
+                            lambda labels: calls.append(1) or real(labels))
+        work = raja_thicket.copy()
+        assert work.dataframe.index is raja_thicket.dataframe.index
+        stats.mean(work)
+        stats.percentiles(work, ["time (exc)"])
+        assert work.dataframe.index.partition(0) is part
+        assert calls == []
+
+    def test_replaced_index_is_not_stale(self, raja_thicket):
+        from repro.core import stats
+
+        stats.mean(raja_thicket, ["time (exc)"])
+        perf = raja_thicket.dataframe
+        before = dict(zip(raja_thicket.statsframe.index.values,
+                          raja_thicket.statsframe.column("time (exc)_mean")))
+        # hand every row of node a to node b and vice versa
+        nodes = list(raja_thicket.statsframe.index.values)
+        a, b = nodes[1], nodes[2]
+        assert before[a] != pytest.approx(before[b])
+        swap = {a: b, b: a}
+        perf.index = MultiIndex(
+            [(swap.get(n, n), p) for n, p in perf.index.values],
+            names=["node", "profile"])
+        stats.mean(raja_thicket, ["time (exc)"])
+        after = dict(zip(raja_thicket.statsframe.index.values,
+                         raja_thicket.statsframe.column("time (exc)_mean")))
+        assert after[a] == pytest.approx(before[b])
+        assert after[b] == pytest.approx(before[a])
+        assert after[nodes[0]] == pytest.approx(before[nodes[0]])
