@@ -112,18 +112,13 @@ def _profile_paths(profile_dir: str) -> list[Path]:
 
 
 def _policy_from_args(args):
-    """Build the :class:`~repro.resilience.ResiliencePolicy` requested
-    by ``--jobs/--task-timeout/--deadline`` (None when all defaulted,
-    preserving the historical serial code path exactly)."""
-    jobs = getattr(args, "jobs", 1)
-    task_timeout = getattr(args, "task_timeout", None)
-    deadline = getattr(args, "deadline", None)
-    if jobs == 1 and task_timeout is None and deadline is None:
-        return None
+    """The :class:`~repro.resilience.ResiliencePolicy` requested by
+    ``--jobs/--task-timeout/--deadline``."""
     from .resilience import ResiliencePolicy
 
-    return ResiliencePolicy(jobs=jobs, task_timeout=task_timeout,
-                            deadline=deadline)
+    return ResiliencePolicy(jobs=getattr(args, "jobs", 1),
+                            task_timeout=getattr(args, "task_timeout", None),
+                            deadline=getattr(args, "deadline", None))
 
 
 def _load_thicket(args):

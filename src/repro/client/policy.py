@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..resilience import backoff_delay
+
 __all__ = ["ClientPolicy", "DEFAULT_CLIENT_POLICY"]
 
 #: HTTP statuses the retry loop may spend budget on; everything else in
@@ -45,9 +47,8 @@ class ClientPolicy:
     max_attempts:
         Total tries for one call (first attempt + retries).
     backoff / backoff_jitter:
-        Jittered exponential backoff between retries, same formula as
-        :meth:`repro.resilience.ResiliencePolicy.delay_for` (delay =
-        ``backoff * 2**attempt * (1 + jitter*U[0,1))``).
+        Jittered exponential backoff between retries
+        (:func:`repro.resilience.backoff_delay`).
     retry_budget_rate / retry_budget_capacity:
         Token bucket governing *all* retries this client launches:
         each retry spends one token, tokens refill at ``rate`` per
@@ -142,17 +143,9 @@ class ClientPolicy:
                 f"got {self.breaker_threshold}")
 
     def delay_for(self, attempt: int, rng) -> float:
-        """Backoff delay before retry number *attempt* (0-based).
-
-        Exponential in *attempt* with multiplicative jitter drawn from
-        *rng* (any object with ``random()``), matching the
-        :class:`~repro.resilience.ResiliencePolicy` formula so the two
-        halves of the stack back off identically.
-        """
-        base = self.backoff * (2 ** attempt)
-        if self.backoff_jitter == 0.0:
-            return base
-        return base * (1.0 + self.backoff_jitter * rng.random())
+        """:func:`repro.resilience.backoff_delay` with this policy's knobs."""
+        return backoff_delay(self.backoff, self.backoff_jitter, attempt,
+                             rng)
 
     def retry_delay(self, attempt: int, rng,
                     retry_after: float | None) -> float:

@@ -18,10 +18,11 @@ profile through four stages and applies a per-profile *error policy*:
     exception, stage, and source.
 
 Transient I/O errors (``OSError`` other than a missing file) are
-retried with bounded exponential backoff before the profile is given
-up on.  Colliding profile ids are repaired deterministically under
-``skip``/``collect`` (and recorded in the report) instead of aborting
-the whole ensemble.
+retried under the policy's jittered exponential backoff before the
+profile is given up on; serial and parallel ingest share one read, one
+build and one outcome fold.  Colliding profile ids are repaired
+deterministically under ``skip``/``collect`` (and recorded in the
+report) instead of aborting the whole ensemble.
 
 With ``checkpoint=DIR`` every per-profile outcome is additionally
 journaled to a crash-tolerant JSONL file plus incrementally saved
@@ -50,6 +51,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import time
 import warnings
 from contextlib import ExitStack, contextmanager, nullcontext
@@ -71,9 +73,11 @@ from ..obs import counter as obs_counter
 from ..obs import span as obs_span
 from ..readers.caliper import read_cali_dict
 from ..resilience import (
+    SERIAL_POLICY,
     ResiliencePolicy,
     SignalGuard,
     SupervisedExecutor,
+    call_with_retries,
     in_worker,
 )
 from .report import (
@@ -162,23 +166,12 @@ def _trip_fault(payload: Any, source: str, sleep) -> Any:
 
 
 # ----------------------------------------------------------------------
-# the worker-side task: read → validate → build, one profile
+# one profile: read → validate → build
 # ----------------------------------------------------------------------
 
-def _parallel_ingest_task(spec: tuple[str, bool]) -> dict:
-    """Run one profile path through read → validate → build in a worker.
-
-    Returns the GraphFrame serialized as a checkpoint payload dict
-    (:func:`repro.ingest.checkpoint._gf_to_payload`) — a picklable,
-    losslessly round-trippable form — rather than the GraphFrame
-    itself, so parallel composition is byte-identical to serial.
-    Transient I/O errors are re-raised as ``ReaderError`` with
-    ``transient=True``; the supervisor owns the retry/backoff budget.
-    """
-    from .checkpoint import _gf_to_payload
-
-    path_str, validate = spec
-    path = Path(path_str)
+def _read_payload(path: Path) -> Any:
+    """Read and decode one profile file.  A missing file is permanent;
+    any other ``OSError`` is a ``transient`` ``ReaderError``."""
     try:
         text = _read_text(path)
     except FileNotFoundError as e:
@@ -186,59 +179,59 @@ def _parallel_ingest_task(spec: tuple[str, bool]) -> dict:
                           source=path) from e
     except OSError as e:
         err = ReaderError(f"I/O error reading {path}: {e}", source=path)
-        err.transient = True  # supervisor may retry with backoff
+        err.transient = True
         raise err from e
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ReaderError(f"invalid JSON in {path_str}: {e}",
-                          source=path_str) from e
-    payload = _trip_fault(payload, path_str, time.sleep)
+        raise ReaderError(f"invalid JSON in {path}: {e}",
+                          source=path) from e
+
+
+def _build(payload: Any, source: str, validate: bool, sleep,
+           timings: dict[str, float]) -> GraphFrame:
+    """Run one decoded payload through fault → validate → build,
+    raising only :class:`ReproError`\\ s; stage wall times accumulate
+    into *timings*."""
+    payload = _trip_fault(payload, source, sleep)
     if validate:
-        validate_cali_payload(payload, source=path_str)
-    try:
-        gf = read_cali_dict(payload, source=path_str)
-    except ReproError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError,
-            AttributeError) as e:
-        raise ReaderError(
-            f"failed to build call tree from {path_str}: "
-            f"{type(e).__name__}: {e}", source=path_str,
-            stage="build") from e
-    gf.metadata.setdefault("profile.file", path_str)
+        with _timed(timings, "validate"), obs_span("ingest.validate",
+                                                   source=source):
+            validate_cali_payload(payload, source=source)
+    with _timed(timings, "build"), obs_span("ingest.build", source=source):
+        try:
+            return read_cali_dict(payload, source=source)
+        except ReproError:
+            raise
+        except (KeyError, IndexError, TypeError, ValueError,
+                AttributeError) as e:
+            # belt and braces: nothing structural may escape untyped
+            raise ReaderError(
+                f"failed to build call tree from {source}: "
+                f"{type(e).__name__}: {e}", source=source,
+                stage="build") from e
+
+
+def _parallel_ingest_task(spec: tuple[str, bool]) -> dict:
+    """Worker task: one profile path through read → validate → build.
+
+    Returns the GraphFrame as a lossless checkpoint payload dict
+    (:func:`repro.ingest.checkpoint._gf_to_payload`), so parallel
+    composition is byte-identical to serial.  The supervisor owns the
+    retry budget for transient read errors.
+    """
+    from .checkpoint import _gf_to_payload
+
+    path, validate = spec
+    gf = _build(_read_payload(Path(path)), path, validate, time.sleep, {})
+    gf.metadata.setdefault("profile.file", path)
     return _gf_to_payload(gf)
 
 
-def _read_with_retry(path: Path, max_retries: int, base_delay: float,
-                     sleep) -> str:
-    """Read *path*, retrying transient ``OSError`` with backoff.
-
-    A missing file is permanent and is never retried.
-    """
-    attempt = 0
-    while True:
-        try:
-            return _read_text(path)
-        except FileNotFoundError as e:
-            raise ReaderError(f"profile file not found: {path}",
-                              source=path) from e
-        except OSError as e:
-            if attempt >= max_retries:
-                logger.error(
-                    "giving up on %s after %d attempt(s): %s",
-                    path, attempt + 1, e)
-                raise ReaderError(
-                    f"I/O error reading {path} after {attempt + 1} "
-                    f"attempt(s): {e}", source=path) from e
-            delay = base_delay * (2 ** attempt)
-            logger.warning(
-                "transient I/O error reading %s (attempt %d/%d): %s; "
-                "retrying in %.3fs", path, attempt + 1, max_retries + 1,
-                e, delay)
-            obs_counter("ingest.read.retries")
-            sleep(delay)
-            attempt += 1
+def _log_retry(error: ReproError, attempt: int, delay: float) -> None:
+    logger.warning("%s (attempt %d); retrying in %.3fs", error,
+                   attempt + 1, delay)
+    obs_counter("ingest.read.retries")
 
 
 def _source_label(src: Any, index: int) -> str:
@@ -250,50 +243,20 @@ def _source_label(src: Any, index: int) -> str:
     return str(src)
 
 
-def _load_one(src: Any, index: int, validate: bool, max_retries: int,
-              base_delay: float, sleep,
+def _load_one(src: Any, source: str, validate: bool,
+              policy: ResiliencePolicy, rng, sleep,
               timings: dict[str, float]) -> GraphFrame:
-    """Run one source through read → validate → build.
-
-    Raises only :class:`ReproError` subclasses.  Per-stage wall time
-    accumulates into *timings* (keys ``read``/``validate``/``build``).
-    """
+    """Load one source on the main process; paths read under the
+    policy's retry budget (never its circuit breaker)."""
     if isinstance(src, GraphFrame):
         return src
-
-    source = _source_label(src, index)
     if isinstance(src, Mapping):
-        payload: Any = src
-    else:
-        with _timed(timings, "read"), obs_span("ingest.read",
-                                               source=source):
-            text = _read_with_retry(Path(src), max_retries, base_delay,
-                                    sleep)
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError as e:
-                raise ReaderError(f"invalid JSON in {source}: {e}",
-                                  source=source) from e
-
-    payload = _trip_fault(payload, source, sleep)
-    if validate:
-        with _timed(timings, "validate"), obs_span("ingest.validate",
-                                                   source=source):
-            validate_cali_payload(payload, source=source)
-    with _timed(timings, "build"), obs_span("ingest.build", source=source):
-        try:
-            gf = read_cali_dict(payload, source=source)
-        except ReproError:
-            raise
-        except (KeyError, IndexError, TypeError, ValueError,
-                AttributeError) as e:
-            # belt and braces: nothing structural may escape untyped
-            raise ReaderError(
-                f"failed to build call tree from {source}: "
-                f"{type(e).__name__}: {e}", source=source,
-                stage="build") from e
-    if not isinstance(src, (GraphFrame, Mapping)):
-        gf.metadata.setdefault("profile.file", str(src))
+        return _build(src, source, validate, sleep, timings)
+    with _timed(timings, "read"), obs_span("ingest.read", source=source):
+        payload, _ = call_with_retries(_read_payload, Path(src), policy,
+                                       rng, sleep, on_retry=_log_retry)
+    gf = _build(payload, source, validate, sleep, timings)
+    gf.metadata.setdefault("profile.file", source)
     return gf
 
 
@@ -390,21 +353,43 @@ def _resume_quarantined(rec: Mapping, source: str, idx: int,
                            index=idx))
 
 
-def _quarantine(report: IngestReport, source: str, idx: int,
-                e: ReproError, on_error: str, ckpt, crit) -> None:
-    """Shared quarantine bookkeeping: journal, warn, log, report."""
+def _fold(report: IngestReport, idx: int, source: str,
+          gf: GraphFrame | None, error: ReproError | None, attempts: int,
+          on_error: str, ckpt, crit, timings,
+          slots: dict[int, GraphFrame]) -> ReproError | None:
+    """Journal one profile's outcome and slot or quarantine it; under
+    ``strict`` a failure is returned for the caller to raise.  A
+    transient read error that outlived its retries names *attempts*."""
+    if error is None:
+        if ckpt is not None:
+            with _timed(timings, "checkpoint"), crit(), \
+                    obs_span("ingest.checkpoint.record", source=source):
+                ckpt.record_ok(source, gf)
+        slots[idx] = gf
+        return None
+    if getattr(error, "transient", False):
+        logger.error("giving up on %s after %d attempt(s): %s",
+                     source, attempts, error)
+        head = f"I/O error reading {error.source}"
+        gave_up = ReaderError(
+            f"{head} after {attempts} attempt(s)"
+            f"{str(error).removeprefix(head)}", source=error.source)
+        gave_up.__cause__, error = error, gave_up
     if ckpt is not None:
         with crit():
-            ckpt.record_quarantined(source, e.stage, type(e).__name__,
-                                    str(e))
+            ckpt.record_quarantined(source, error.stage,
+                                    type(error).__name__, str(error))
+    if on_error == "strict":
+        return error
     if on_error == "skip":
-        warnings.warn(f"skipping profile: {e}", stacklevel=3)
+        warnings.warn(f"skipping profile: {error}", stacklevel=3)
     logger.warning("quarantined profile %s [%s]: %s: %s",
-                   source, e.stage, type(e).__name__, e)
+                   source, error.stage, type(error).__name__, error)
     obs_counter("ingest.profiles.quarantined")
     report.quarantined.append(
-        QuarantinedProfile(source=source, stage=e.stage, error=e,
+        QuarantinedProfile(source=source, stage=error.stage, error=error,
                            index=idx))
+    return None
 
 
 def _try_resume(ckpt, source: str, idx: int, on_error: str, report,
@@ -431,14 +416,6 @@ def _try_resume(ckpt, source: str, idx: int, on_error: str, report,
         _resume_quarantined(rec, source, idx, on_error, report)
         return True, None
     return False, None  # strict + previously quarantined: retry
-
-
-def _count_execution_failure(report: IngestReport, status: str) -> None:
-    """Fold one executor failure status into the report's counters."""
-    if status in ("timeout", "deadline"):
-        report.timeouts += 1
-    elif status == "crash":
-        report.worker_crashes += 1
 
 
 def _load_parallel(tasks, policy: ResiliencePolicy, validate: bool,
@@ -469,29 +446,13 @@ def _load_parallel(tasks, policy: ResiliencePolicy, validate: bool,
     report.breaker_trips += executor.breaker.trips
     first_error: ReproError | None = None
     for (idx, source), outcome in zip(tasks, outcomes):
-        if outcome.ok:
-            gf = _payload_to_gf(outcome.value)
-            if ckpt is not None:
-                with _timed(timings, "checkpoint"), crit(), \
-                        obs_span("ingest.checkpoint.record",
-                                 source=source):
-                    ckpt.record_ok(source, gf)
-            slots[idx] = gf
-            continue
-        _count_execution_failure(report, outcome.status)
-        if on_error == "strict":
-            # journal every failure before raising so a checkpointed
-            # re-run can still resume past this point
-            if ckpt is not None:
-                with crit():
-                    ckpt.record_quarantined(
-                        source, outcome.error.stage,
-                        type(outcome.error).__name__, str(outcome.error))
-            if first_error is None:
-                first_error = outcome.error
-            continue
-        _quarantine(report, source, idx, outcome.error, on_error, ckpt,
-                    crit)
+        gf = _payload_to_gf(outcome.value) if outcome.ok else None
+        report.timeouts += outcome.status in ("timeout", "deadline")
+        report.worker_crashes += outcome.status == "crash"
+        error = _fold(report, idx, source, gf, outcome.error,
+                      outcome.attempts, on_error, ckpt, crit, timings,
+                      slots)
+        first_error = first_error or error
     if first_error is not None:
         raise first_error
 
@@ -502,8 +463,6 @@ def load_ensemble(sources: Iterable[Any] | Any,
                   intersection: bool = False,
                   fill_perfdata: bool = False,
                   validate: bool = True,
-                  max_retries: int = 2,
-                  retry_base_delay: float = 0.05,
                   sleep=None,
                   checkpoint: Any = None,
                   policy: ResiliencePolicy | None = None) -> IngestResult:
@@ -521,10 +480,6 @@ def load_ensemble(sources: Iterable[Any] | Any,
     validate:
         Run full schema validation before graph construction
         (disable only for trusted, already-validated payloads).
-    max_retries / retry_base_delay:
-        Bounded exponential backoff for transient ``OSError`` while
-        reading profile files.  Ignored when *policy* is given —
-        ``policy.max_retries`` / ``policy.backoff`` take over.
     sleep:
         Injectable sleep function (testing); defaults to ``time.sleep``.
     checkpoint:
@@ -535,14 +490,18 @@ def load_ensemble(sources: Iterable[Any] | Any,
         Checkpointed runs defer SIGINT/SIGTERM across journal writes
         so an interrupt can never tear an in-flight record.
     policy:
-        A :class:`~repro.resilience.ResiliencePolicy`.  A *supervised*
-        policy (``jobs > 1``, or a ``task_timeout`` / ``deadline``)
-        fans the per-profile read → validate → build stages out across
-        a :class:`~repro.resilience.SupervisedExecutor` worker pool
-        with per-task deadlines, heartbeat liveness, and per-directory
+        A :class:`~repro.resilience.ResiliencePolicy`; ``None`` means
+        ``ResiliencePolicy()``.  Its ``max_retries`` / ``backoff`` /
+        ``backoff_jitter`` govern retries of transient ``OSError``
+        while reading profile files (jitter drawn from a
+        ``random.Random(0)``, as the executor's).  A *supervised* policy
+        (``jobs > 1``, or a ``task_timeout`` / ``deadline``) fans the
+        per-profile read → validate → build stages out across a
+        :class:`~repro.resilience.SupervisedExecutor` worker pool with
+        per-task deadlines, heartbeat liveness, and per-directory
         circuit breakers; composition stays on the main process and
-        results keep input order.  The default (``None``, like
-        ``jobs=1``) preserves the historical serial behaviour exactly.
+        results keep input order.  Otherwise profiles load serially on
+        the calling process, with no circuit breaker.
 
     Returns
     -------
@@ -559,8 +518,8 @@ def load_ensemble(sources: Iterable[Any] | Any,
             f"on_error must be one of {ERROR_POLICIES}, got {on_error!r}")
     if sleep is None:
         sleep = time.sleep
-    eff = policy if policy is not None else ResiliencePolicy(
-        max_retries=max_retries, backoff=retry_base_delay)
+    eff = policy if policy is not None else SERIAL_POLICY
+    rng = random.Random(0)
     if isinstance(sources, (str, Path, GraphFrame, Mapping)):
         sources = [sources]
     sources = list(sources)
@@ -608,26 +567,16 @@ def load_ensemble(sources: Iterable[Any] | Any,
                         continue
                     try:
                         with obs_span("ingest.profile", source=source):
-                            gf = _load_one(src, idx, validate,
-                                           eff.max_retries, eff.backoff,
-                                           sleep, timings)
+                            gf = _load_one(src, source, validate, eff,
+                                           rng, sleep, timings)
+                        error = None
                     except ReproError as e:
-                        if on_error == "strict":
-                            if ckpt is not None:
-                                with crit():
-                                    ckpt.record_quarantined(
-                                        source, e.stage,
-                                        type(e).__name__, str(e))
-                            raise
-                        _quarantine(report, source, idx, e, on_error,
-                                    ckpt, crit)
-                        continue
-                    if ckpt is not None:
-                        with _timed(timings, "checkpoint"), crit(), \
-                                obs_span("ingest.checkpoint.record",
-                                         source=source):
-                            ckpt.record_ok(source, gf)
-                    slots[idx] = gf
+                        gf, error = None, e
+                    error = _fold(report, idx, source, gf, error,
+                                  getattr(error, "attempts", 1), on_error,
+                                  ckpt, crit, timings, slots)
+                    if error is not None:
+                        raise error
                 if tasks:
                     _load_parallel(tasks, eff, validate, on_error,
                                    report, ckpt, crit, sleep, timings,

@@ -334,7 +334,8 @@ class DocstringRule(Rule):
 class ResilienceRoutingRule(Rule):
     rule_id = "RPR007"
     severity = "error"
-    description = ("retry loops sleeping via time.sleep and bare "
+    description = ("retry loops sleeping via time.sleep, or via any "
+                   "*sleep callable inside an except handler, and bare "
                    "multiprocessing/concurrent.futures pools outside "
                    "repro/resilience/")
     rationale = ("an open-coded sleep-retry loop has no deadline, no "
@@ -343,6 +344,9 @@ class ResilienceRoutingRule(Rule):
                  "resilience.SupervisedExecutor / ResiliencePolicy (PR 5)")
 
     ALLOWED_MODULES = ("resilience/",)
+    # an injected sleep seam still hides a hand-rolled retry loop; only
+    # the executor's and the HTTP client's own loops may sleep this way
+    SEAM_ALLOWED_MODULES = ("resilience/", "client/")
     _POOL_CLASSES = {"ProcessPoolExecutor", "ThreadPoolExecutor", "Pool",
                      "Process"}
     _POOL_MODULES = {"multiprocessing", "concurrent.futures",
@@ -389,6 +393,20 @@ class ResilienceRoutingRule(Rule):
                            "retry/poll loop; use resilience."
                            "ResiliencePolicy backoff or an injected sleep "
                            "seam")
+        if ctx.module_matches(self.SEAM_ALLOWED_MODULES):
+            return
+        for handler in ast.walk(node):
+            if not isinstance(handler, ast.ExceptHandler):
+                continue
+            for sub in ast.walk(handler):
+                if isinstance(sub, ast.Call) \
+                        and _dotted(sub.func).endswith("sleep") \
+                        and id(sub) not in self.reported:
+                    self.reported.add(id(sub))
+                    ctx.report(self, sub,
+                               "sleep inside an except handler in a loop: "
+                               "a hand-rolled retry loop; use resilience."
+                               "call_with_retries")
 
     visit_While = _loop_check
     visit_For = _loop_check

@@ -95,9 +95,10 @@ def configure_logging(level: str | int = "info",
                       stream=None) -> logging.Logger:
     """Attach a stderr handler to the ``repro`` logger hierarchy.
 
-    Idempotent: re-invoking replaces the level (and reuses the handler)
-    instead of stacking duplicate handlers.  Returns the ``repro``
-    root logger so callers can add their own handlers.
+    Idempotent: re-invoking replaces the level and re-points the
+    existing handler at ``stream or sys.stderr`` (whatever ``sys.stderr``
+    is *now*) instead of stacking duplicate handlers.  Returns the
+    ``repro`` root logger so callers can add their own handlers.
     """
     if isinstance(level, str):
         resolved = getattr(logging, level.upper(), None)
@@ -111,8 +112,7 @@ def configure_logging(level: str | int = "info",
     if marked:
         for h in marked:
             h.setLevel(level)
-            if stream is not None:
-                h.setStream(stream)
+            h.setStream(stream or sys.stderr)
     else:
         handler = logging.StreamHandler(stream or sys.stderr)
         handler.setLevel(level)

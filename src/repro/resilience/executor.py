@@ -16,8 +16,9 @@ processes from the parent:
   dies) is declared crashed, killed, and replaced;
 * **bounded retries with jittered exponential backoff** — transient
   failures (a task raising a ``ReproError`` with ``transient=True``)
-  are re-dispatched after ``policy.delay_for(attempt, rng)`` seconds,
-  generalizing the ingest pipeline's historical ``_read_with_retry``;
+  are re-dispatched after ``policy.delay_for(attempt, rng)`` seconds;
+  inline mode and serial ingest block on the same rule through
+  :func:`call_with_retries`;
 * **circuit breakers** — consecutive failures per failure domain trip
   a :class:`~repro.resilience.breaker.CircuitBreaker`, converting
   retry storms into fast :class:`~repro.errors.CircuitOpenError`
@@ -55,7 +56,8 @@ from ..obs import span as obs_span
 from .breaker import CircuitBreaker
 from .policy import ResiliencePolicy
 
-__all__ = ["SupervisedExecutor", "TaskOutcome", "in_worker"]
+__all__ = ["SupervisedExecutor", "TaskOutcome", "call_with_retries",
+           "in_worker"]
 
 # Supervisor poll tick: bounds how late a timeout/heartbeat check can
 # fire; small enough that sub-second task_timeouts are honoured.
@@ -87,6 +89,34 @@ class TaskOutcome:
     def ok(self) -> bool:
         """True when the task produced a value."""
         return self.status == "ok"
+
+
+def call_with_retries(fn: Callable[[Any], Any], item: Any,
+                      policy: ResiliencePolicy, rng,
+                      sleep: Callable[[float], None],
+                      on_retry: Callable[[ReproError, int, float], None]
+                      | None = None) -> tuple[Any, int]:
+    """Call ``fn(item)``, retrying ``transient`` ``ReproError``\\ s up
+    to ``policy.max_retries`` times after ``policy.delay_for(attempt,
+    rng)`` seconds (``on_retry(error, attempt, delay)`` runs first).
+
+    Returns ``(value, attempts)``.  The final ``ReproError`` is raised
+    with ``error.attempts`` set; other exceptions propagate untouched.
+    """
+    attempt = 0
+    while True:
+        try:
+            return fn(item), attempt + 1
+        except ReproError as e:
+            if not getattr(e, "transient", False) \
+                    or attempt >= policy.max_retries:
+                e.attempts = attempt + 1
+                raise
+            delay = policy.delay_for(attempt, rng)
+            if on_retry is not None:
+                on_retry(e, attempt, delay)
+            sleep(delay)
+            attempt += 1
 
 
 # ----------------------------------------------------------------------
@@ -279,29 +309,22 @@ class SupervisedExecutor:
                 outcomes.append(self._breaker_outcome(index, key, bkey))
                 continue
             start = self.clock()
-            attempt = 0
-            while True:
-                try:
-                    value = fn(item)
-                except ReproError as e:
-                    if getattr(e, "transient", False) \
-                            and attempt < self.policy.max_retries:
-                        obs_counter("exec.retries")
-                        self.sleep(self.policy.delay_for(attempt, self.rng))
-                        attempt += 1
-                        continue
-                    self.breaker.record_failure(bkey)
-                    obs_counter("exec.errors")
-                    outcomes.append(TaskOutcome(
-                        index, key, "error", error=e, attempts=attempt + 1,
-                        seconds=self.clock() - start))
-                    break
-                self.breaker.record_success(bkey)
-                obs_counter("exec.ok")
+            try:
+                value, attempts = call_with_retries(
+                    fn, item, self.policy, self.rng, self.sleep,
+                    on_retry=lambda *_: obs_counter("exec.retries"))
+            except ReproError as e:
+                self.breaker.record_failure(bkey)
+                obs_counter("exec.errors")
                 outcomes.append(TaskOutcome(
-                    index, key, "ok", value=value, attempts=attempt + 1,
+                    index, key, "error", error=e, attempts=e.attempts,
                     seconds=self.clock() - start))
-                break
+                continue
+            self.breaker.record_success(bkey)
+            obs_counter("exec.ok")
+            outcomes.append(TaskOutcome(
+                index, key, "ok", value=value, attempts=attempts,
+                seconds=self.clock() - start))
         return outcomes
 
     # -- pool mode ------------------------------------------------------
@@ -421,28 +444,19 @@ class SupervisedExecutor:
             if index != index_w:  # pragma: no cover - protocol guard
                 continue
             key = keys[index]
-            bkey = self.breaker_key(key)
             seconds = self.clock() - started.get(index,
                                                  worker.dispatched_at)
             if status == "ok":
-                self.breaker.record_success(bkey)
+                self.breaker.record_success(self.breaker_key(key))
                 obs_counter("exec.ok")
                 done[index] = TaskOutcome(index, key, "ok", value=value,
                                           attempts=attempt + 1,
                                           seconds=seconds)
                 continue
             error = _decode_error(errinfo)
-            if getattr(error, "transient", False) and \
-                    attempt < self.policy.max_retries:
-                obs_counter("exec.retries")
-                delay = self.policy.delay_for(attempt, self.rng)
-                pending.append((self.clock() + delay, index, attempt + 1))
-                continue
-            self.breaker.record_failure(bkey)
-            obs_counter("exec.errors")
-            done[index] = TaskOutcome(index, key, "error", error=error,
-                                      attempts=attempt + 1,
-                                      seconds=seconds)
+            self._retry_or_fail(getattr(error, "transient", False), pending,
+                                done, index, attempt, key, "error", error,
+                                seconds)
 
     def _sweep(self, pending, workers, done, keys, started, now) -> None:
         """Liveness pass: kill overdue and dead/stopped-beating workers."""
@@ -478,9 +492,7 @@ class SupervisedExecutor:
         workers.remove(worker)
         obs_counter("exec.workers_respawned")
         key = keys[index]
-        bkey = self.breaker_key(key)
-        now = self.clock()
-        seconds = now - started.get(index, worker.dispatched_at)
+        seconds = self.clock() - started.get(index, worker.dispatched_at)
         if status == "timeout":
             obs_counter("exec.timeouts")
             error: ReproError = TaskTimeoutError(
@@ -492,13 +504,21 @@ class SupervisedExecutor:
             error = WorkerCrashError(
                 f"worker executing task for {key} died or stopped "
                 f"heartbeating (attempt {attempt + 1})", source=key)
-        if self.policy.retry_timeouts and \
-                attempt < self.policy.max_retries:
+        self._retry_or_fail(self.policy.retry_timeouts, pending, done,
+                            index, attempt, key, status, error, seconds)
+
+    def _retry_or_fail(self, retryable: bool, pending, done, index: int,
+                       attempt: int, key: str, status: str,
+                       error: ReproError, seconds: float) -> None:
+        """Re-queue a failed dispatch after its backoff, or fail it."""
+        if retryable and attempt < self.policy.max_retries:
             obs_counter("exec.retries")
             delay = self.policy.delay_for(attempt, self.rng)
-            pending.append((now + delay, index, attempt + 1))
+            pending.append((self.clock() + delay, index, attempt + 1))
             return
-        self.breaker.record_failure(bkey)
+        self.breaker.record_failure(self.breaker_key(key))
+        if status == "error":
+            obs_counter("exec.errors")
         done[index] = TaskOutcome(index, key, status, error=error,
                                   attempts=attempt + 1, seconds=seconds)
 

@@ -16,7 +16,19 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-__all__ = ["ResiliencePolicy", "SERIAL_POLICY"]
+__all__ = ["ResiliencePolicy", "SERIAL_POLICY", "backoff_delay"]
+
+
+def backoff_delay(backoff: float, jitter: float, attempt: int,
+                  rng) -> float:
+    """Seconds before retry number *attempt* (0-based): ``backoff *
+    2**attempt * (1 + jitter * rng.random())``, with no draw from *rng*
+    when *jitter* is 0.  The one formula behind both policies'
+    ``delay_for``."""
+    base = backoff * (2 ** attempt)
+    if jitter == 0.0:
+        return base
+    return base * (1.0 + jitter * rng.random())
 
 
 @dataclass(frozen=True)
@@ -120,17 +132,9 @@ class ResiliencePolicy:
                 or self.deadline is not None)
 
     def delay_for(self, attempt: int, rng) -> float:
-        """Backoff delay in seconds before retry number *attempt* (0-based).
-
-        Exponential in *attempt* with multiplicative jitter drawn from
-        *rng* (any object with ``random()``); deterministic for a
-        seeded RNG, and exactly ``backoff * 2**attempt`` when
-        ``backoff_jitter`` is 0.
-        """
-        base = self.backoff * (2 ** attempt)
-        if self.backoff_jitter == 0.0:
-            return base
-        return base * (1.0 + self.backoff_jitter * rng.random())
+        """:func:`backoff_delay` with this policy's knobs."""
+        return backoff_delay(self.backoff, self.backoff_jitter, attempt,
+                             rng)
 
     def replace(self, **changes) -> "ResiliencePolicy":
         """A copy of this policy with *changes* applied."""

@@ -11,6 +11,7 @@ the offending source.
 """
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.ingest import (
     validate_cali_payload,
 )
 from repro.readers import read_cali_dict, read_cali_json
+from repro.resilience import ResiliencePolicy
 
 
 def valid_payload():
@@ -256,9 +258,10 @@ class TestTransientIORetry:
             return real(p)
 
         monkeypatch.setattr(pipeline, "_read_text", flaky)
-        tk, report = load_ensemble([path], on_error="collect",
-                                   max_retries=2, retry_base_delay=0.01,
-                                   sleep=delays.append)
+        tk, report = load_ensemble(
+            [path], on_error="collect",
+            policy=ResiliencePolicy(max_retries=2, backoff=0.01),
+            sleep=delays.append)
         assert tk is not None and report.ok
         assert delays == [0.01, 0.02]  # bounded exponential backoff
 
@@ -273,8 +276,63 @@ class TestTransientIORetry:
 
         monkeypatch.setattr(pipeline, "_read_text", always_fails)
         with pytest.raises(ReaderError, match="3 attempt"):
-            load_ensemble([path], on_error="strict", max_retries=2,
-                          retry_base_delay=0.0, sleep=lambda s: None)
+            load_ensemble([path], on_error="strict",
+                          policy=ResiliencePolicy(max_retries=2,
+                                                  backoff=0.0),
+                          sleep=lambda s: None)
+
+    def test_serial_retry_backoff_is_jittered(self, tmp_path,
+                                              monkeypatch):
+        """Serial ingest draws its delays from the policy's jittered
+        formula under a ``random.Random(0)``, like the executor."""
+        from repro.ingest import pipeline
+
+        path = write_profile(tmp_path / "p.json", 1)
+        real = pipeline._read_text
+        failures = {"left": 2}
+        delays = []
+
+        def flaky(p):
+            if failures["left"] > 0:
+                failures["left"] -= 1
+                raise OSError("transient NFS hiccup")
+            return real(p)
+
+        monkeypatch.setattr(pipeline, "_read_text", flaky)
+        policy = ResiliencePolicy(max_retries=2, backoff=0.01,
+                                  backoff_jitter=0.5)
+        tk, report = load_ensemble([path], on_error="collect",
+                                   policy=policy, sleep=delays.append)
+        assert tk is not None and report.ok
+        rng = random.Random(0)
+        expected = [policy.delay_for(0, rng), policy.delay_for(1, rng)]
+        assert delays == pytest.approx(expected)
+        assert delays == pytest.approx([0.014222, 0.027579], abs=1e-6)
+
+    def test_exhausted_retries_quarantine_alike_for_any_jobs(
+            self, tmp_path, monkeypatch):
+        from repro.ingest import pipeline
+
+        path = write_profile(tmp_path / "p.json", 1)
+
+        def always_fails(p):
+            raise OSError("stale file handle")
+
+        monkeypatch.setattr(pipeline, "_read_text", always_fails)
+        seen = []
+        for jobs in (1, 2):
+            tk, report = load_ensemble(
+                [path], on_error="collect",
+                policy=ResiliencePolicy(jobs=jobs, backoff=0.0),
+                sleep=lambda s: None)
+            assert tk is None
+            [q] = report.quarantined
+            seen.append((q.stage, q.error_type, str(q.error)))
+        assert seen[0] == seen[1]
+        assert seen[0] == (
+            "read", "ReaderError",
+            f"I/O error reading {path} after 3 attempt(s): "
+            f"stale file handle")
 
     def test_missing_file_not_retried(self, tmp_path):
         calls = []

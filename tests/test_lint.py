@@ -379,6 +379,7 @@ class TestResilienceRouting:
                    for f in result.findings)
 
     def test_injected_sleep_seam_allowed(self, tmp_path):
+        """The sanctioned retry loops live in resilience/ and client/."""
         result = lint_source(tmp_path, """\
             def retry(fn, sleep, delays):
                 for delay in delays:
@@ -386,6 +387,31 @@ class TestResilienceRouting:
                         return fn()
                     except OSError:
                         sleep(delay)
+            """, rel="repro/client/retry.py")
+        assert result.ok, format_text(result)
+
+    def test_injected_sleep_retry_loop_flagged(self, tmp_path):
+        f = sole_finding(lint_source(tmp_path, """\
+            class Reader:
+                def read(self, path, retries):
+                    attempt = 0
+                    while True:
+                        try:
+                            return self.read_text(path)
+                        except OSError:
+                            if attempt >= retries:
+                                raise
+                            self.sleep(0.05 * 2 ** attempt)
+                            attempt += 1
+            """), "RPR007")
+        assert f.line == 10
+        assert "call_with_retries" in f.message
+
+    def test_injected_sleep_outside_except_allowed(self, tmp_path):
+        result = lint_source(tmp_path, """\
+            def poll(ready, sleep):
+                while not ready():
+                    sleep(0.1)
             """)
         assert result.ok, format_text(result)
 

@@ -403,6 +403,22 @@ class TestIngestObservability:
         with pytest.raises(ValueError):
             obs.configure_logging("loud")
 
+    def test_configure_logging_follows_current_stderr(self, monkeypatch):
+        """A second call without ``stream=`` writes to the ``sys.stderr``
+        of that call, not the one bound at the first call."""
+        import io
+        import sys
+
+        obs.configure_logging("info")
+        fresh = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", fresh)
+        try:
+            obs.configure_logging("info")
+            logging.getLogger("repro.ingest").info("hello from ingest")
+        finally:
+            logging.getLogger("repro").handlers.clear()
+        assert "hello from ingest" in fresh.getvalue()
+
 
 class TestToThicket:
     def test_spans_become_queryable_statable_thicket(self):

@@ -12,6 +12,7 @@ corrupt payloads.
 
 import json
 import os
+import random
 import signal
 import time
 from pathlib import Path
@@ -38,6 +39,7 @@ from repro.resilience import (
     ResiliencePolicy,
     SignalGuard,
     SupervisedExecutor,
+    call_with_retries,
 )
 from repro.resilience.executor import _WORKER_STATE
 from repro.workloads import (
@@ -271,6 +273,29 @@ class TestInlineExecutor:
         [outcome] = ex.map(flaky, ["v"])
         assert outcome.ok and outcome.attempts == 3
         assert delays == [0.01, 0.02]
+
+    def test_call_with_retries_stops_at_a_permanent_error(self):
+        calls, delays = [], []
+
+        def fn(x):
+            calls.append(x)
+            if len(calls) == 1:
+                err = ReaderError("blip", source="x")
+                err.transient = True
+                raise err
+            if len(calls) == 2:
+                raise SchemaError("bad", source="x")
+            raise RuntimeError("not a ReproError")
+
+        policy = ResiliencePolicy(max_retries=5, backoff=0.01)
+        with pytest.raises(SchemaError) as ei:
+            call_with_retries(fn, "v", policy, random.Random(0),
+                              delays.append)
+        assert ei.value.attempts == 2 and delays == [0.01]
+        with pytest.raises(RuntimeError):  # propagates, never retried
+            call_with_retries(fn, "v", policy, random.Random(0),
+                              delays.append)
+        assert len(calls) == 3 and delays == [0.01]
 
     def test_retry_budget_exhausted_surfaces_error(self):
         def always(x):
