@@ -103,6 +103,28 @@ trap 'rm -rf "$OBS_CAMPAIGN" "$STORE_DIR"' EXIT
 python -m repro ingest "$OBS_CAMPAIGN" \
     --save "$STORE_DIR/tk.json" >/dev/null
 python -m repro validate "$STORE_DIR/tk.json"
+# save -> load -> save is byte-identical, and a re-indented copy (no
+# longer the exact envelope the writer emits) still validates through
+# the loader's full-parse fallback and re-saves to the original bytes
+python - "$STORE_DIR" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+from repro.core.io import load_thicket, save_thicket
+
+d = Path(sys.argv[1])
+original = (d / "tk.json").read_bytes()
+save_thicket(load_thicket(d / "tk.json"), d / "resaved.json")
+assert (d / "resaved.json").read_bytes() == original, "re-save differs"
+with open(d / "reindented.json", "w") as fh:
+    json.dump(json.loads(original), fh, indent=1, sort_keys=True)
+save_thicket(load_thicket(d / "reindented.json"), d / "resaved.json")
+assert (d / "resaved.json").read_bytes() == original, "re-indent differs"
+print("store re-saves byte-identically, also from a re-indented copy")
+PY
+python -m repro validate "$STORE_DIR/reindented.json" >/dev/null
+echo "re-indented store validates"
 python - "$STORE_DIR/tk.json" <<'PY'
 import sys
 

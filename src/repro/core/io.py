@@ -9,10 +9,18 @@ makes the saved file the unit of durable state.  The current format,
   :func:`repro.ioutil.atomic_write_text` (temp file + fsync +
   ``os.replace``), so a crash mid-save leaves the previous store
   intact, never a truncated hybrid.
-* **Content checksum** — the document embeds a sha256 of the canonical
-  payload encoding; :func:`load_thicket` verifies it and raises
-  :class:`repro.errors.CorruptStoreError` on any mismatch, undecodable
-  file, or unknown format (never a bare ``json.JSONDecodeError``).
+* **Content checksum** — the payload is encoded once and the sha256
+  covers that text exactly as embedded.  :func:`load_thicket` hashes
+  the embedded bytes and parses the same bytes; only a file that is
+  not the exact envelope the writer emits (re-indented, say) or that
+  fails the hash is parsed whole and re-encoded canonically for the
+  check, so a reformatted store keeps its verdict.  Any mismatch,
+  undecodable file, or unknown format raises
+  :class:`repro.errors.CorruptStoreError`.
+* **Whole-column encoding** — :func:`encode_table` converts each
+  column in one pass and transposes the columns into rows;
+  :func:`decode_table` transposes back.  Checkpoint payloads
+  (:mod:`repro.ingest.checkpoint`) use the same pair.
 * **Typed dtype hints** — each table records its float columns so a
   sparse thicket's ``NaN`` cells (stored as ``null``) come back as
   ``np.nan`` in a float column, even when the column is entirely NaN.
@@ -26,6 +34,7 @@ with positional node references, and the metadata table verbatim.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any
 
@@ -33,7 +42,6 @@ import numpy as np
 
 from ..errors import CorruptStoreError, PersistenceError
 from ..frame import DataFrame, Index, MultiIndex
-from ..frame.ops import coerce_column
 from ..graph import Graph
 from ..ioutil import atomic_write_text, canonical_json, sha256_of
 
@@ -44,7 +52,9 @@ FORMAT_V1 = "repro-thicket-v1"
 FORMAT_V2 = "repro-thicket-v2"
 
 
-def _jsonable(v: Any) -> Any:
+def jsonable(v: Any) -> Any:
+    """One cell as a JSON-ready Python value (numpy scalars unwrapped,
+    NaN as ``None``)."""
     if hasattr(v, "item"):
         v = v.item()
     if isinstance(v, float) and np.isnan(v):
@@ -60,74 +70,75 @@ def _decode_key(c: Any) -> Any:
     return tuple(c) if isinstance(c, list) else c
 
 
-def _float_columns(df: DataFrame) -> list:
-    return [_encode_key(c) for c in df.columns
-            if df.column(c).dtype.kind == "f"]
+def _column_cells(col: np.ndarray) -> list:
+    if col.dtype.kind not in "fiub":
+        return [jsonable(v) for v in col]
+    cells = col.tolist()
+    if col.dtype.kind == "f":
+        for i in np.flatnonzero(np.isnan(col)).tolist():
+            cells[i] = None
+    return cells
 
 
-def _decode_columns(table: dict, cols: list) -> dict:
-    """Column → values, with ``null`` restored to ``np.nan`` in the
-    columns the store marked as floats (v2; v1 has no marks and relies
-    on mixed-value inference in the frame layer).  An unmarked v2
-    column comes back as an object column where inference would make
-    it float (numbers mixed with ``None``), as it was when saved, so
-    save → load → save is byte-identical."""
+def encode_table(df: DataFrame) -> dict:
+    """``columns``, ``float_columns`` and row-major ``data`` of *df*.
+
+    Each column is encoded whole (``tolist()`` for numeric columns,
+    :func:`jsonable` per cell only for object columns) and the rows
+    are its transpose.  The float-column marks let :func:`decode_table`
+    restore ``null`` cells as ``np.nan``, even in an all-NaN column.
+    """
+    cols = [_column_cells(df.column(c)) for c in df.columns]
+    return {"columns": [_encode_key(c) for c in df.columns],
+            "float_columns": [_encode_key(c) for c in df.columns
+                              if df.column(c).dtype.kind == "f"],
+            "data": list(zip(*cols)) if cols else [()] * len(df)}
+
+
+def decode_table(table: dict, index: Index) -> DataFrame:
+    """Rebuild an :func:`encode_table` table on *index*, column by column.
+
+    ``null`` comes back as ``np.nan`` in the columns marked as floats
+    (v2; v1 has no marks and relies on the frame's inference).  An
+    unmarked v2 column that inference would make float (numbers mixed
+    with ``None``) stays an object column, as it was when saved.  A row
+    shorter than the header is a :class:`CorruptStoreError`.
+    """
+    cols = [_decode_key(c) for c in table["columns"]]
     float_cols = {_decode_key(c) for c in table.get("float_columns", [])}
     marked = "float_columns" in table
     data = table["data"]
-    out = {}
-    for j, c in enumerate(cols):
-        values = [row[j] for row in data]
-        if c in float_cols:  # an array, so an empty column stays float
-            values = np.array([np.nan if v is None else v for v in values],
-                              dtype=np.float64)
-        elif marked and coerce_column(values).dtype.kind == "f":
-            values = np.fromiter(values, dtype=object, count=len(values))
-        out[c] = values
-    return out
+    columns = list(zip(*data)) if data else [()] * len(cols)
+    if len(columns) < len(cols):
+        raise CorruptStoreError(
+            f"a data row has fewer than its table's {len(cols)} columns")
+    # None → NaN in float columns; an array, so an empty one stays float
+    df = DataFrame({c: np.array(v, dtype=np.float64) if c in float_cols
+                    else list(v) for c, v in zip(cols, columns)},
+                   index=index, columns=cols)
+    for c, values in zip(cols, columns):
+        if marked and c not in float_cols and df.column(c).dtype.kind == "f":
+            df[c] = np.fromiter(values, dtype=object, count=len(values))
+    return df
 
 
 def thicket_to_payload(tk) -> dict:
     """The checksummed body of a v2 store (no envelope)."""
     node_pos = {n: i for i, n in enumerate(tk.graph.node_order())}
-
-    perf = {
-        "columns": [_encode_key(c) for c in tk.dataframe.columns],
-        "float_columns": _float_columns(tk.dataframe),
-        "index": [[node_pos[t[0]], _jsonable(t[1])]
-                  for t in tk.dataframe.index.values],
-        "index_names": list(tk.dataframe.index.names),
-        "data": [
-            [_jsonable(tk.dataframe.column(c)[i])
-             for c in tk.dataframe.columns]
-            for i in range(len(tk.dataframe))
-        ],
-    }
-    meta = {
-        "columns": [_encode_key(c) for c in tk.metadata.columns],
-        "float_columns": _float_columns(tk.metadata),
-        "index": [_jsonable(p) for p in tk.metadata.index.values],
-        "data": [
-            [_jsonable(tk.metadata.column(c)[i]) for c in tk.metadata.columns]
-            for i in range(len(tk.metadata))
-        ],
-    }
-    stats_cols = [c for c in tk.statsframe.columns]
-    stats = {
-        "columns": [_encode_key(c) for c in stats_cols],
-        "float_columns": _float_columns(tk.statsframe),
-        "index": [node_pos[n] for n in tk.statsframe.index.values],
-        "data": [
-            [_jsonable(tk.statsframe.column(c)[i]) for c in stats_cols]
-            for i in range(len(tk.statsframe))
-        ],
-    }
+    perf = {**encode_table(tk.dataframe),
+            "index": [[node_pos[t[0]], jsonable(t[1])]
+                      for t in tk.dataframe.index.values],
+            "index_names": list(tk.dataframe.index.names)}
+    meta = {**encode_table(tk.metadata),
+            "index": [jsonable(p) for p in tk.metadata.index.values]}
+    stats = {**encode_table(tk.statsframe),
+             "index": [node_pos[n] for n in tk.statsframe.index.values]}
     return {
         "graph": tk.graph.to_literal(),
         "performance_data": perf,
         "metadata": meta,
         "statsframe": stats,
-        "profiles": [_jsonable(p) for p in tk.profile],
+        "profiles": [jsonable(p) for p in tk.profile],
         "exc_metrics": [_encode_key(m) for m in tk.exc_metrics],
         "inc_metrics": [_encode_key(m) for m in tk.inc_metrics],
         "default_metric": _encode_key(tk.default_metric)
@@ -135,18 +146,61 @@ def thicket_to_payload(tk) -> dict:
     }
 
 
+# The envelope keys sort as checksum < format < payload, so splicing the
+# payload text in here yields the same bytes as sorted-keys ``json.dumps``
+# of the whole document.
+_ENVELOPE = '{"checksum":"%s","format":"' + FORMAT_V2 + '","payload":%s}'
+_ENVELOPE_HEAD = re.compile(
+    r'\{"checksum":"(sha256:[0-9a-f]{64})","format":"'
+    + re.escape(FORMAT_V2) + r'","payload":')
+
+
 def thicket_to_json(tk) -> str:
     """Serialize a Thicket to a v2 JSON document (envelope + checksum).
 
-    The serialization is deterministic: save → load → save produces
-    byte-identical output.
+    The payload is encoded once; the checksum covers exactly that text
+    as embedded.  The serialization is deterministic: save → load →
+    save produces byte-identical output.
     """
-    payload = thicket_to_payload(tk)
-    return json.dumps(
-        {"format": FORMAT_V2,
-         "checksum": sha256_of(canonical_json(payload)),
-         "payload": payload},
-        separators=(",", ":"), sort_keys=True)
+    body = canonical_json(thicket_to_payload(tk))
+    return _ENVELOPE % (sha256_of(body), body)
+
+
+def _parse(text: str, source: Any) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise CorruptStoreError(
+            f"store is not valid JSON (truncated or overwritten?): {e}",
+            source=source, stage="load") from e
+
+
+def _reencoded_payload(doc: Any, source: Any) -> Any:
+    """The payload of a whole parsed document: v2 checked against its
+    canonical re-encoding, v1 unchecked."""
+    if not isinstance(doc, dict):
+        raise CorruptStoreError(
+            f"store is not a JSON object, got {type(doc).__name__}",
+            source=source, stage="load")
+    fmt = doc.get("format")
+    if fmt == FORMAT_V1:
+        return doc  # flat legacy layout, no checksum to verify
+    if fmt != FORMAT_V2:
+        raise CorruptStoreError(
+            f"not a repro thicket store (format={fmt!r}; expected "
+            f"{FORMAT_V1!r} or {FORMAT_V2!r})", source=source, stage="load")
+    payload = doc.get("payload")
+    if not isinstance(payload, dict):
+        raise CorruptStoreError("v2 store has no payload object",
+                                source=source)
+    stored = doc.get("checksum")
+    actual = sha256_of(canonical_json(payload))
+    if stored != actual:
+        raise CorruptStoreError(
+            f"checksum mismatch: stored {stored!r}, computed "
+            f"{actual!r} — the store was modified or corrupted "
+            f"after it was written", source=source)
+    return payload
 
 
 def _payload_to_thicket(payload: dict):
@@ -154,29 +208,15 @@ def _payload_to_thicket(payload: dict):
 
     graph = Graph.from_literal(payload["graph"])
     nodes = graph.node_order()
-
     perf_p = payload["performance_data"]
-    perf_cols = [_decode_key(c) for c in perf_p["columns"]]
-    perf_index = MultiIndex(
+    perf = decode_table(perf_p, MultiIndex(
         [(nodes[i], pid) for i, pid in perf_p["index"]],
-        names=perf_p["index_names"],
-    )
-    perf = DataFrame(_decode_columns(perf_p, perf_cols),
-                     index=perf_index, columns=perf_cols)
-
+        names=perf_p["index_names"]))
     meta_p = payload["metadata"]
-    meta_cols = [_decode_key(c) for c in meta_p["columns"]]
-    metadata = DataFrame(_decode_columns(meta_p, meta_cols),
-                         index=Index(meta_p["index"], name="profile"),
-                         columns=meta_cols)
-
+    metadata = decode_table(meta_p, Index(meta_p["index"], name="profile"))
     stats_p = payload["statsframe"]
-    stats_cols = [_decode_key(c) for c in stats_p["columns"]]
-    statsframe = DataFrame(_decode_columns(stats_p, stats_cols),
-                           index=Index([nodes[i] for i in stats_p["index"]],
-                                       name="node"),
-                           columns=stats_cols)
-
+    statsframe = decode_table(stats_p, Index(
+        [nodes[i] for i in stats_p["index"]], name="node"))
     default = payload.get("default_metric")
     return Thicket(
         graph, perf, metadata, statsframe=statsframe,
@@ -190,47 +230,23 @@ def _payload_to_thicket(payload: dict):
 def thicket_from_json(text: str, source: Any = None):
     """Rebuild a Thicket from :func:`thicket_to_json` output.
 
-    Accepts both the current checksummed ``repro-thicket-v2`` envelope
-    and legacy flat ``repro-thicket-v1`` documents.  Every failure mode
-    — undecodable JSON, unknown format, checksum mismatch, missing or
-    malformed sections — raises :class:`CorruptStoreError` (which is
+    The exact envelope :func:`thicket_to_json` writes has its embedded
+    payload bytes hashed, then those bytes parsed.  Anything else (a
+    re-indented store, a legacy flat ``repro-thicket-v1`` document, a
+    corrupt file) is parsed whole and its canonical re-encoding is
+    checked against the stored checksum.  Every failure
+    mode — undecodable JSON, unknown format, checksum mismatch, missing
+    or malformed sections — raises :class:`CorruptStoreError` (which is
     also a ``ValueError`` for backward compatibility).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CorruptStoreError(
-            f"store is not valid JSON (truncated or overwritten?): {e}",
-            source=source, stage="load") from e
-    if not isinstance(doc, dict):
-        raise CorruptStoreError(
-            f"store is not a JSON object, got {type(doc).__name__}",
-            source=source, stage="load")
-
-    fmt = doc.get("format")
-    if fmt == FORMAT_V2:
-        payload = doc.get("payload")
-        if not isinstance(payload, dict):
-            raise CorruptStoreError("v2 store has no payload object",
-                                    source=source)
-        stored = doc.get("checksum")
-        actual = sha256_of(canonical_json(payload))
-        if stored != actual:
-            raise CorruptStoreError(
-                f"checksum mismatch: stored {stored!r}, computed "
-                f"{actual!r} — the store was modified or corrupted "
-                f"after it was written", source=source)
-    elif fmt == FORMAT_V1:
-        payload = doc  # flat legacy layout, no checksum to verify
+    head = _ENVELOPE_HEAD.match(text)
+    body = text[head.end():-1] if head and text.endswith("}") else ""
+    if head and body.isascii() and sha256_of(body) == head.group(1):
+        payload = _parse(body, source)
     else:
-        raise CorruptStoreError(
-            f"not a repro thicket store (format={fmt!r}; expected "
-            f"{FORMAT_V1!r} or {FORMAT_V2!r})", source=source, stage="load")
-
+        payload = _reencoded_payload(_parse(text, source), source)
     try:
         return _payload_to_thicket(payload)
-    except CorruptStoreError:
-        raise
     except (KeyError, IndexError, TypeError, ValueError) as e:
         raise CorruptStoreError(
             f"store payload is structurally invalid: "
@@ -268,6 +284,9 @@ def load_thicket(path: str | Path, verify: bool = False):
     except OSError as e:
         raise PersistenceError(f"cannot read thicket store: {e}",
                                source=path, stage="load") from e
+    except UnicodeDecodeError as e:
+        raise CorruptStoreError(f"store is not UTF-8 text: {e}",
+                                source=path, stage="load") from e
     tk = thicket_from_json(text, source=path)
     if verify:
         report = tk.validate()

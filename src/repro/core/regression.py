@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, Hashable
 
 import numpy as np
-from scipy import stats as sps
 
 from ..frame import DataFrame, Index
 
@@ -41,6 +40,8 @@ def compare_thickets(baseline, candidate, metric: Hashable,
     is by node name, so the two thickets may come from different runs
     of the same code (the usual nightly set-up).
     """
+    from scipy import stats as sps  # deferred: keeps `import repro` light
+
     base = _per_node_values(baseline, metric)
     cand = _per_node_values(candidate, metric)
     names = [n for n in base if n in cand]

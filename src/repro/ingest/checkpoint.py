@@ -33,10 +33,8 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Any
 
-import numpy as np
-
+from ..core.io import decode_table, encode_table, jsonable
 from ..errors import PersistenceError
 from ..graph import GraphFrame
 from ..ioutil import atomic_write_text, canonical_json, crc32_of, fsync_path
@@ -55,34 +53,22 @@ logger = logging.getLogger("repro.ingest.checkpoint")
 # GraphFrame <-> JSON payload
 # ----------------------------------------------------------------------
 
-def _jsonable(v: Any) -> Any:
-    if hasattr(v, "item"):
-        v = v.item()
-    if isinstance(v, float) and np.isnan(v):
-        return None
-    return v
-
-
 def _gf_to_payload(gf: GraphFrame) -> dict:
     """Serialize a built GraphFrame losslessly.
 
-    Same positional-node-reference idiom as the thicket store: the
-    graph as a nested literal, the node-indexed table with pre-order
-    node positions, and explicit float-column marks so NaN cells
-    (stored as ``null``) round-trip as ``np.nan``.
+    Same codec as the thicket store (:func:`repro.core.io.encode_table`):
+    the graph as a nested literal, the node-indexed table with pre-order
+    node positions, encoded a whole column at a time, and explicit
+    float-column marks so NaN cells (stored as ``null``) round-trip as
+    ``np.nan``.
     """
     node_pos = {n: i for i, n in enumerate(gf.graph.node_order())}
-    df = gf.dataframe
     return {
         "format": PAYLOAD_FORMAT,
         "graph": gf.graph.to_literal(),
-        "rows": [node_pos[n] for n in df.index.values],
-        "columns": list(df.columns),
-        "float_columns": [c for c in df.columns
-                          if df.column(c).dtype.kind == "f"],
-        "data": [[_jsonable(df.column(c)[i]) for c in df.columns]
-                 for i in range(len(df))],
-        "metadata": {str(k): _jsonable(v) for k, v in gf.metadata.items()},
+        "rows": [node_pos[n] for n in gf.dataframe.index.values],
+        **encode_table(gf.dataframe),
+        "metadata": {str(k): jsonable(v) for k, v in gf.metadata.items()},
         "exc_metrics": list(gf.exc_metrics),
         "inc_metrics": list(gf.inc_metrics),
         "default_metric": gf.default_metric,
@@ -90,7 +76,7 @@ def _gf_to_payload(gf: GraphFrame) -> dict:
 
 
 def _payload_to_gf(payload: dict) -> GraphFrame:
-    from ..frame import DataFrame, Index
+    from ..frame import Index
     from ..graph import Graph
 
     if payload.get("format") != PAYLOAD_FORMAT:
@@ -99,19 +85,8 @@ def _payload_to_gf(payload: dict) -> GraphFrame:
             f"(format={payload.get('format')!r})", stage="journal")
     graph = Graph.from_literal(payload["graph"])
     nodes = graph.node_order()
-    columns = payload["columns"]
-    float_cols = set(payload.get("float_columns", []))
-    data = payload["data"]
-    cols = {}
-    for j, c in enumerate(columns):
-        values = [row[j] for row in data]
-        if c in float_cols:
-            values = [np.nan if v is None else float(v) for v in values]
-        cols[c] = values
-    df = DataFrame(cols,
-                   index=Index([nodes[i] for i in payload["rows"]],
-                               name="node"),
-                   columns=columns)
+    df = decode_table(payload, Index([nodes[i] for i in payload["rows"]],
+                                     name="node"))
     return GraphFrame(graph, df, metadata=dict(payload.get("metadata", {})),
                       exc_metrics=list(payload.get("exc_metrics", [])),
                       inc_metrics=list(payload.get("inc_metrics", [])),

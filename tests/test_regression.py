@@ -90,3 +90,21 @@ class TestCompare:
         lonely = Thicket.from_caliperreader([other])
         with pytest.raises(ValueError):
             compare_thickets(baseline, lonely, "time (exc)")
+
+
+def test_import_repro_does_not_load_scipy():
+    """scipy costs about a second of cold start; only the functions
+    that need it import it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import repro, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True)
