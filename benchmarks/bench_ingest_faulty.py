@@ -5,8 +5,7 @@ policies, quarantine reporting) sits on the hot path of every
 campaign-scale analysis, so its overhead must stay pinned.  This
 benchmark composes a 200-profile synthetic campaign with 5% of the
 files corrupted (the ISSUE's acceptance scenario) and times
-``load_ensemble`` under each error policy, plus a validation-off
-baseline that isolates the cost of the schema gate.
+``load_ensemble`` under each error policy.
 """
 
 import pytest
@@ -52,13 +51,6 @@ def test_bench_ingest_clean_strict(benchmark, clean_paths):
     tk, report = benchmark(load_ensemble, clean_paths, on_error="strict")
     assert len(tk.profile) == N_PROFILES
     assert report.ok
-
-
-def test_bench_ingest_clean_novalidate(benchmark, clean_paths):
-    """Validation off: the delta to the strict run is the schema gate."""
-    tk, _ = benchmark(load_ensemble, clean_paths, on_error="strict",
-                      validate=False)
-    assert len(tk.profile) == N_PROFILES
 
 
 def test_bench_ingest_dirty_skip(benchmark, dirty_paths):

@@ -57,6 +57,9 @@ PY
 echo "== ingestion benchmark smoke =="
 python -m pytest benchmarks/bench_ingest_faulty.py -q \
     --benchmark-disable
+# the fused cali-JSON parser against the frozen validator + reader pair,
+# on a larger example budget than tier-1 gives it
+python -m pytest tests/test_reader_oracle.py -q --hypothesis-profile=ci
 
 echo "== observability smoke (traced ingest + repro obs) =="
 # Trace a small campaign ingest end to end, then validate the emitted

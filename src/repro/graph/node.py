@@ -108,13 +108,10 @@ class Node:
 
         yield from _walk(self)
 
-    # -- ordering / hashing ---------------------------------------------
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
+    # -- ordering ------------------------------------------------------
+    # Equality and hashing are the object defaults (identity), which
+    # dicts and sets keyed by nodes evaluate in C; a Python-level
+    # __hash__/__eq__ would cost every such lookup a function call.
     def __lt__(self, other: "Node") -> bool:
         return (self.frame.name, self._nid) < (other.frame.name, other._nid)
 

@@ -31,7 +31,9 @@ def union_many(graphs: list[Graph]) -> tuple[Graph, list[dict[Node, Node]]]:
     nodes to union nodes.  Children keep first-seen order so the union
     of identical graphs reproduces the input ordering.
     """
-    path_to_node: dict[tuple[Frame, ...], Node] = {}
+    # a union node stands for one call path, so (union parent, frame)
+    # names a path without hashing the whole frame tuple
+    path_to_node: dict[tuple[Node | None, Frame], Node] = {}
     roots: list[Node] = []
     maps: list[dict[Node, Node]] = []
 
@@ -39,23 +41,22 @@ def union_many(graphs: list[Graph]) -> tuple[Graph, list[dict[Node, Node]]]:
         for graph in graphs:
             mapping: dict[Node, Node] = {}
 
-            def visit(node: Node, parent_union: Node | None,
-                      path: tuple[Frame, ...]) -> None:
-                path = path + (node.frame,)
-                union_node = path_to_node.get(path)
+            def visit(node: Node, parent_union: Node | None) -> None:
+                key = (parent_union, node.frame)
+                union_node = path_to_node.get(key)
                 if union_node is None:
                     union_node = Node(node.frame)
-                    path_to_node[path] = union_node
+                    path_to_node[key] = union_node
                     if parent_union is None:
                         roots.append(union_node)
                     else:
                         parent_union.connect(union_node)
                 mapping[node] = union_node
                 for child in node.children:
-                    visit(child, union_node, path)
+                    visit(child, union_node)
 
             for root in graph.roots:
-                visit(root, None, ())
+                visit(root, None)
             maps.append(mapping)
 
         union = Graph(roots)

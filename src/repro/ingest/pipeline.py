@@ -71,7 +71,7 @@ from ..errors import (
 from ..graph import GraphFrame
 from ..obs import counter as obs_counter
 from ..obs import span as obs_span
-from ..readers.caliper import read_cali_dict
+from ..readers.caliper import _assemble, _check
 from ..resilience import (
     SERIAL_POLICY,
     ResiliencePolicy,
@@ -86,7 +86,6 @@ from .report import (
     QuarantinedProfile,
     RepairedProfileId,
 )
-from .schema import validate_cali_payload
 
 __all__ = ["load_ensemble", "ERROR_POLICIES", "FAULT_KEY"]
 
@@ -188,31 +187,33 @@ def _read_payload(path: Path) -> Any:
                           source=path) from e
 
 
-def _build(payload: Any, source: str, validate: bool, sleep,
+def _build(payload: Any, source: str, sleep,
            timings: dict[str, float]) -> GraphFrame:
     """Run one decoded payload through fault → validate → build,
     raising only :class:`ReproError`\\ s; stage wall times accumulate
-    into *timings*."""
+    into *timings*: ``validate`` is the reader's schema check,
+    ``build`` the tree and frame it assembles from the checked
+    pieces."""
     payload = _trip_fault(payload, source, sleep)
-    if validate:
-        with _timed(timings, "validate"), obs_span("ingest.validate",
-                                                   source=source):
-            validate_cali_payload(payload, source=source)
+    with _timed(timings, "validate"), obs_span("ingest.validate",
+                                               source=source):
+        checked = _check(payload, source)
     with _timed(timings, "build"), obs_span("ingest.build", source=source):
         try:
-            return read_cali_dict(payload, source=source)
+            return _assemble(checked, source)
         except ReproError:
             raise
         except (KeyError, IndexError, TypeError, ValueError,
-                AttributeError) as e:
+                AttributeError, OverflowError) as e:
             # belt and braces: nothing structural may escape untyped
+            # (OverflowError: an integer cell beyond int64)
             raise ReaderError(
                 f"failed to build call tree from {source}: "
                 f"{type(e).__name__}: {e}", source=source,
                 stage="build") from e
 
 
-def _parallel_ingest_task(spec: tuple[str, bool]) -> dict:
+def _parallel_ingest_task(path: str) -> dict:
     """Worker task: one profile path through read → validate → build.
 
     Returns the GraphFrame as a lossless checkpoint payload dict
@@ -222,8 +223,7 @@ def _parallel_ingest_task(spec: tuple[str, bool]) -> dict:
     """
     from .checkpoint import _gf_to_payload
 
-    path, validate = spec
-    gf = _build(_read_payload(Path(path)), path, validate, time.sleep, {})
+    gf = _build(_read_payload(Path(path)), path, time.sleep, {})
     gf.metadata.setdefault("profile.file", path)
     return _gf_to_payload(gf)
 
@@ -243,19 +243,18 @@ def _source_label(src: Any, index: int) -> str:
     return str(src)
 
 
-def _load_one(src: Any, source: str, validate: bool,
-              policy: ResiliencePolicy, rng, sleep,
+def _load_one(src: Any, source: str, policy: ResiliencePolicy, rng, sleep,
               timings: dict[str, float]) -> GraphFrame:
     """Load one source on the main process; paths read under the
     policy's retry budget (never its circuit breaker)."""
     if isinstance(src, GraphFrame):
         return src
     if isinstance(src, Mapping):
-        return _build(src, source, validate, sleep, timings)
+        return _build(src, source, sleep, timings)
     with _timed(timings, "read"), obs_span("ingest.read", source=source):
         payload, _ = call_with_retries(_read_payload, Path(src), policy,
                                        rng, sleep, on_retry=_log_retry)
-    gf = _build(payload, source, validate, sleep, timings)
+    gf = _build(payload, source, sleep, timings)
     gf.metadata.setdefault("profile.file", source)
     return gf
 
@@ -418,9 +417,8 @@ def _try_resume(ckpt, source: str, idx: int, on_error: str, report,
     return False, None  # strict + previously quarantined: retry
 
 
-def _load_parallel(tasks, policy: ResiliencePolicy, validate: bool,
-                   on_error: str, report: IngestReport, ckpt, crit,
-                   sleep, timings,
+def _load_parallel(tasks, policy: ResiliencePolicy, on_error: str,
+                   report: IngestReport, ckpt, crit, sleep, timings,
                    slots: dict[int, GraphFrame]) -> None:
     """Fan *tasks* (``(idx, path)`` pairs) out across a supervised pool.
 
@@ -440,9 +438,7 @@ def _load_parallel(tasks, policy: ResiliencePolicy, validate: bool,
     with _timed(timings, "execute"), \
             obs_span("ingest.parallel", tasks=len(tasks),
                      jobs=policy.jobs):
-        outcomes = executor.map(_parallel_ingest_task,
-                                [(p, validate) for p in paths],
-                                keys=paths)
+        outcomes = executor.map(_parallel_ingest_task, paths, keys=paths)
     report.breaker_trips += executor.breaker.trips
     first_error: ReproError | None = None
     for (idx, source), outcome in zip(tasks, outcomes):
@@ -462,7 +458,6 @@ def load_ensemble(sources: Iterable[Any] | Any,
                   metadata_key: str | None = None,
                   intersection: bool = False,
                   fill_perfdata: bool = False,
-                  validate: bool = True,
                   sleep=None,
                   checkpoint: Any = None,
                   policy: ResiliencePolicy | None = None) -> IngestResult:
@@ -477,9 +472,6 @@ def load_ensemble(sources: Iterable[Any] | Any,
         ``"collect"`` (drop silently, attribute in the report).
     metadata_key / intersection / fill_perfdata:
         As :meth:`repro.core.Thicket.from_caliperreader`.
-    validate:
-        Run full schema validation before graph construction
-        (disable only for trusted, already-validated payloads).
     sleep:
         Injectable sleep function (testing); defaults to ``time.sleep``.
     checkpoint:
@@ -548,8 +540,8 @@ def load_ensemble(sources: Iterable[Any] | Any,
             with obs_span("ingest.load_ensemble", profiles=len(sources),
                           policy=on_error, jobs=eff.jobs) as top:
                 logger.info(
-                    "ingesting %d profile(s) (policy=%s, validate=%s, "
-                    "jobs=%d)", len(sources), on_error, validate, eff.jobs)
+                    "ingesting %d profile(s) (policy=%s, jobs=%d)",
+                    len(sources), on_error, eff.jobs)
                 slots: dict[int, GraphFrame] = {}
                 tasks: list[tuple[int, str]] = []   # parallelizable paths
                 for idx, src in enumerate(sources):
@@ -567,8 +559,8 @@ def load_ensemble(sources: Iterable[Any] | Any,
                         continue
                     try:
                         with obs_span("ingest.profile", source=source):
-                            gf = _load_one(src, source, validate, eff,
-                                           rng, sleep, timings)
+                            gf = _load_one(src, source, eff, rng, sleep,
+                                           timings)
                         error = None
                     except ReproError as e:
                         gf, error = None, e
@@ -578,9 +570,8 @@ def load_ensemble(sources: Iterable[Any] | Any,
                     if error is not None:
                         raise error
                 if tasks:
-                    _load_parallel(tasks, eff, validate, on_error,
-                                   report, ckpt, crit, sleep, timings,
-                                   slots)
+                    _load_parallel(tasks, eff, on_error, report, ckpt,
+                                   crit, sleep, timings, slots)
                 gfs = [slots[i] for i in sorted(slots)]
                 labelled = [(i, _source_label(sources[i], i))
                             for i in sorted(slots)]

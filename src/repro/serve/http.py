@@ -39,6 +39,18 @@ __all__ = ["ReproServer", "make_handler"]
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` with a listen backlog sized for bursts.
+
+    Clients open a fresh connection per request, so a burst of them
+    outruns the accept loop.  With socketserver's default backlog of 5
+    the kernel's accept queue overflowed and dropped handshakes, and
+    clients under load saw connection resets.
+    """
+
+    request_queue_size = 128
+
+
 def make_handler(service: AnalysisService,
                  max_body_bytes: int = _MAX_BODY_BYTES):
     """Build the request-handler class bound to *service*."""
@@ -142,7 +154,7 @@ class ReproServer:
                 f"drain_deadline must be >= 0, got {drain_deadline}")
         self.service = service
         self.drain_deadline = float(drain_deadline)
-        self.httpd = ThreadingHTTPServer(
+        self.httpd = _HTTPServer(
             (host, port), make_handler(service, max_body_bytes))
         self.httpd.daemon_threads = True
         self._serve_thread: threading.Thread | None = None

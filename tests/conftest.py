@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import Thicket
 from repro.caliper import write_cali_json
@@ -16,6 +17,11 @@ from repro.workloads import (
     generate_marbl_profile,
     generate_rajaperf_profile,
 )
+
+# A larger example budget for CI (`pytest --hypothesis-profile=ci`).
+# It reaches tests that set no `max_examples` of their own, such as the
+# reader oracle; tier-1 runs them at hypothesis's default.
+settings.register_profile("ci", max_examples=2000)
 
 FIG4_KERNELS = [
     "Apps_NODAL_ACCUMULATION_3D",

@@ -65,6 +65,15 @@ class TestNode:
         assert a1 != a2
         assert len({a1, a2}) == 2
 
+    def test_identity_dunders_are_the_object_defaults(self):
+        # Nodes key the dicts behind union_many, _compose, _sort_perfdata,
+        # MultiIndex.get_indexer and join_on_index.  A Python-level
+        # __hash__/__eq__ (even `return id(self)`) turns each lookup into
+        # a function call; on a 40-profile thicket that about doubles
+        # the time of get_indexer and join_on_index.
+        assert "__hash__" not in Node.__dict__
+        assert "__eq__" not in Node.__dict__
+
     def test_traverse_pre_and_post(self):
         g = tree(SIMPLE)
         pre = [n.name for n in g.roots[0].traverse("pre")]
