@@ -921,8 +921,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(fraction, default 0.5)")
         pp.add_argument("--min-seconds", type=float, default=None,
                         dest="min_seconds",
-                        help="ignore nodes whose baseline mean is below "
-                             "this many seconds (default 0.01)")
+                        help="ignore nodes whose baseline and candidate "
+                             "means are both below this many seconds "
+                             "(default 0.01)")
         pp.add_argument("--min-samples", type=int, default=None,
                         dest="min_samples",
                         help="runs required on each side before a node "

@@ -38,8 +38,9 @@ class PerfPolicy:
     ``metric`` is the Thicket metric column compared (inclusive wall
     time by default — the quantity users feel).  A node is flagged when
     its candidate mean exceeds the baseline mean by more than
-    ``min_relative_change`` (fraction), the baseline mean is at least
-    ``min_seconds`` (ignore sub-noise nodes), each side has at least
+    ``min_relative_change`` (fraction), the baseline or the candidate
+    mean is at least ``min_seconds`` (ignore nodes that are sub-noise on
+    both sides), each side has at least
     ``min_samples`` profiles, and the Welch's-t p-value is either below
     ``alpha`` or NaN (undecidable — single-run ensembles still alert).
     Improvements mirror the same thresholds on the other side.
@@ -209,11 +210,13 @@ def check_regression(baseline, candidate,
             decisive = bool(row["significant"]) or math.isnan(p)
             if not decisive:
                 continue
-            if (rel > policy.min_relative_change
-                    and b_mean >= policy.min_seconds):
+            # the floor drops nodes that are small on both sides: one
+            # that grows from under it to over it is a regression
+            if max(b_mean, c_mean) < policy.min_seconds:
+                continue
+            if rel > policy.min_relative_change:
                 verdict.regressions.append(entry)
-            elif (rel < -policy.min_relative_change
-                    and b_mean >= policy.min_seconds):
+            elif rel < -policy.min_relative_change:
                 verdict.improvements.append(entry)
 
         verdict.regressions.sort(key=lambda r: r["relative_change"],
