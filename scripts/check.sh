@@ -233,21 +233,45 @@ print("chaos ingest: 6/8 loaded, hang and crash both attributed, "
 PY
 
 echo "== perf sentinel smoke (record, check, staged regression) =="
-# Record two baseline runs of the standard workload, require a clean
-# candidate to pass, then inject a compute slowdown into the workload's
-# campaign and require the sentinel to flag it with exit code 6.
+# Trace `repro ingest` runs of a small generated campaign: record two as
+# the baseline, require three clean candidates to pass, then inject a
+# compute slowdown into the campaign and require three fresh traces to
+# be flagged with exit code 6.  The first slowed run also writes the
+# sampling profiler's flamegraph, so the two CI artifacts go together:
+# the verdict names the regressed node, the flamegraph shows where
+# inside it the time went.
 # VERDICT_OUT / PROFILE_OUT can point at CI workspace paths for upload.
 VERDICT_OUT="${VERDICT_OUT:-$(pwd)/perf-verdict.json}"
 PROFILE_OUT="${PROFILE_OUT:-$(pwd)/perf-flamegraph.collapsed}"
 PERF_DIR=$(mktemp -d)
 trap 'rm -rf "$OBS_CAMPAIGN" "$STORE_DIR" "$CHAOS_DIR" "$PERF_DIR"' EXIT
-PERF_ARGS=(--store "$PERF_DIR/history" --scale 0.05)
-python -m repro perf record "${PERF_ARGS[@]}" --label seed
-python -m repro perf record "${PERF_ARGS[@]}"
-python -m repro --profile 100 --profile-out "$PROFILE_OUT" \
-    perf check "${PERF_ARGS[@]}" --out "$VERDICT_OUT"
-python -m repro perf history --store "$PERF_DIR/history"
-python - "$PERF_DIR/history/workload/profiles" <<'PY'
+python - "$PERF_DIR/profiles" <<'PY'
+import sys
+
+from repro.workloads import RAJA_CAMPAIGN, write_raja_campaign
+
+paths = write_raja_campaign(sys.argv[1], campaign=RAJA_CAMPAIGN[:1],
+                            scale=0.05)
+print(f"perf campaign: {len(paths)} profiles")
+PY
+traced_ingest() {  # traced_ingest TRACE [global flags...]
+    local trace=$1
+    shift
+    python -m repro "$@" --trace "$trace" ingest "$PERF_DIR/profiles" \
+        >/dev/null
+}
+PERF_STORE=(--store "$PERF_DIR/history")
+traced_ingest "$PERF_DIR/base-1.json"
+traced_ingest "$PERF_DIR/base-2.json"
+python -m repro perf record "${PERF_STORE[@]}" --label seed \
+    "$PERF_DIR"/base-*.json
+traced_ingest "$PERF_DIR/clean-1.json"
+traced_ingest "$PERF_DIR/clean-2.json"
+traced_ingest "$PERF_DIR/clean-3.json"
+python -m repro perf check "${PERF_STORE[@]}" --out "$VERDICT_OUT" \
+    "$PERF_DIR"/clean-*.json
+python -m repro perf history "${PERF_STORE[@]}"
+python - "$PERF_DIR/profiles" <<'PY'
 import sys
 from pathlib import Path
 
@@ -257,8 +281,17 @@ victim = sorted(Path(sys.argv[1]).glob("*.json"))[0]
 inject_slowdown(victim, seconds=0.5)
 print(f"staged compute regression in {victim.name}")
 PY
+traced_ingest "$PERF_DIR/slow-1.json" \
+    --profile 100 --profile-out "$PROFILE_OUT"
+if [ ! -s "$PROFILE_OUT" ]; then
+    echo "FAIL: no flamegraph written to $PROFILE_OUT" >&2
+    exit 1
+fi
+traced_ingest "$PERF_DIR/slow-2.json"
+traced_ingest "$PERF_DIR/slow-3.json"
 rc=0
-python -m repro perf check "${PERF_ARGS[@]}" --out "$VERDICT_OUT" || rc=$?
+python -m repro perf check "${PERF_STORE[@]}" --out "$VERDICT_OUT" \
+    "$PERF_DIR"/slow-*.json || rc=$?
 if [ "$rc" -ne 6 ]; then
     echo "FAIL: staged regression exited $rc, expected 6" >&2
     exit 1
@@ -270,7 +303,7 @@ import sys
 doc = json.load(open(sys.argv[1]))
 assert doc["ok"] is False
 nodes = [r["node"] for r in doc["regressions"]]
-assert "ingest.profile" in nodes or "perf.workload.ingest" in nodes, nodes
+assert "ingest.profile" in nodes, nodes
 print(f"staged regression caught: {nodes[0]} "
       f"({doc['regressions'][0]['relative_change']:+.1%}), exit code 6")
 PY

@@ -53,12 +53,15 @@ subcommand and writes a collapsed-stack flamegraph file on exit
 (``--profile-out`` picks the path; a ``.json`` suffix switches to the
 speedscope format).
 
-The performance watchdog lives under ``repro perf``::
+The performance watchdog lives under ``repro perf``.  It judges
+trace files, from ``--trace`` or perfbench, and runs no workload
+itself::
 
-    python -m repro perf record  --store perf/
-    python -m repro perf check   --store perf/
-    python -m repro perf compare --store perf/ --candidate run-000003
-    python -m repro perf history --store perf/ --json
+    python -m repro --trace t1.json ingest profiles/   # likewise t2..t4
+    python -m repro perf record  --store perf/ t1.json t2.json
+    python -m repro perf check   --store perf/ t3.json t4.json
+    python -m repro perf check   --store perf/ run-000002
+    python -m repro perf history --store perf/ --json --prune 10
 
 The supervised analysis service lives under ``repro serve``::
 
@@ -77,8 +80,8 @@ ingestion (the command succeeded but profiles were quarantined);
 4 corrupt or unreadable durable store (failed checksum, truncated
 file, or broken structural invariants under ``repro validate``);
 5 static-analysis findings (``repro lint`` found unsuppressed rule
-violations); 6 performance regression (``repro perf check``/
-``compare`` found call-tree nodes slower than the stored baseline);
+violations); 6 performance regression (``repro perf check`` found
+call-tree nodes slower than the stored baseline);
 7 serve failure (``repro serve`` could not bind its port or the
 service aborted outside a clean signal-driven drain).
 """
@@ -380,16 +383,27 @@ def _cmd_remote(args) -> int:
     return EXIT_OK
 
 
+def _load_trace(path: str):
+    """``(roots, metrics)`` of a trace file named on the command line
+    (``--trace`` output or perfbench's kept traces)."""
+    from . import obs
+
+    if not Path(path).exists():
+        raise SystemExit(f"no such trace file: {path}")
+    try:
+        return obs.load_trace(path)
+    except ValueError as e:  # json.JSONDecodeError
+        raise SystemExit(f"not a trace file: {path}: {e}") from e
+
+
 def _cmd_obs(args) -> int:
     """Summarize a trace file recorded with ``--trace``."""
     import json as json_mod
 
     from . import obs
 
-    path = Path(args.tracefile)
-    if not path.exists():
-        raise SystemExit(f"no such trace file: {path}")
-    roots, metrics = obs.load_trace(path)
+    path = args.tracefile
+    roots, metrics = _load_trace(path)
     if not roots:
         print(f"{path}: no completed spans", file=sys.stderr)
         return 1
@@ -463,25 +477,6 @@ def _cmd_lint(args) -> int:
     return EXIT_OK if result.ok else EXIT_LINT_FINDINGS
 
 
-def _perf_policy_from_args(args):
-    """The sentinel policy with any ``--metric/--alpha/...`` overrides."""
-    from .perf import DEFAULT_POLICY
-
-    return DEFAULT_POLICY.with_overrides(
-        metric=getattr(args, "metric", None),
-        alpha=getattr(args, "alpha", None),
-        min_relative_change=getattr(args, "threshold", None),
-        min_seconds=getattr(args, "min_seconds", None),
-        min_samples=getattr(args, "min_samples", None))
-
-
-def _perf_workload_roots(args):
-    """Run the standard workload for record/check (shared arguments)."""
-    from .perf import workload_roots
-
-    work_dir = Path(args.work_dir) if args.work_dir \
-        else Path(args.store) / "workload"
-    return workload_roots(work_dir, repeats=args.repeats, scale=args.scale)
 
 
 def _write_verdict(args, verdict) -> None:
@@ -489,7 +484,7 @@ def _write_verdict(args, verdict) -> None:
     import json as json_mod
 
     doc = json_mod.dumps(verdict.to_dict(), indent=2, sort_keys=True)
-    if getattr(args, "out", None):
+    if args.out:
         from .ioutil import atomic_write_text
 
         atomic_write_text(Path(args.out), doc + "\n")
@@ -501,56 +496,48 @@ def _write_verdict(args, verdict) -> None:
 
 
 def _cmd_perf_record(args) -> int:
-    """Run the standard workload once and append it to the history."""
+    """Append each trace file to the history as one run."""
     import json as json_mod
 
     from .perf import PerfStore
 
     store = PerfStore(args.store)
-    roots = _perf_workload_roots(args)
-    info = store.record(roots, label=args.label)
-    if args.keep is not None:
-        removed = store.prune(args.keep)
-        if removed and not args.json:
-            print(f"pruned {len(removed)} old run(s): "
-                  f"{', '.join(removed)}", file=sys.stderr)
+    infos = [store.record(_load_trace(path)[0], label=args.label)
+             for path in args.traces]
     if args.json:
-        print(json_mod.dumps(info.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(f"recorded {info.run_id} "
+        print(json_mod.dumps([i.to_dict() for i in infos],
+                             indent=2, sort_keys=True))
+        return EXIT_OK
+    for path, info in zip(args.traces, infos):
+        print(f"recorded {path} as {info.run_id} "
               f"({info.meta.get('spans')} spans, commit "
               f"{str(info.meta.get('commit'))[:12]}) -> {store.root}")
     return EXIT_OK
 
 
 def _cmd_perf_check(args) -> int:
-    """Run the workload fresh and gate it against the stored baseline."""
-    from .perf import PerfStore, check_store
+    """Gate trace files (roots pooled) or one stored run against the
+    stored baseline."""
+    from .perf import DEFAULT_POLICY, PerfStore, check_store
+    from .perf.store import is_run_id
 
     store = PerfStore(args.store)
     if len(store) == 0:
         print(f"perf store {store.root} is empty — record a baseline "
-              f"first: repro perf record --store {store.root}",
+              f"first: repro perf record --store {store.root} TRACE...",
               file=sys.stderr)
         return 1
-    roots = _perf_workload_roots(args)
-    verdict = check_store(store, roots, _perf_policy_from_args(args),
-                          limit=args.limit)
-    _write_verdict(args, verdict)
-    if verdict.ok and args.record:
-        info = store.record(roots, label=args.label)
-        print(f"recorded passing candidate as {info.run_id}",
-              file=sys.stderr)
-    return EXIT_OK if verdict.ok else EXIT_PERF_REGRESSION
-
-
-def _cmd_perf_compare(args) -> int:
-    """Compare a stored run / trace file against the baseline history."""
-    from .perf import PerfStore, check_store
-
-    store = PerfStore(args.store)
-    verdict = check_store(store, args.candidate,
-                          _perf_policy_from_args(args), limit=args.limit)
+    candidates = args.candidates
+    if len(candidates) == 1 and is_run_id(candidates[0]):
+        candidate = candidates[0]
+    else:
+        candidate = [root for path in candidates
+                     for root in _load_trace(path)[0]]
+    policy = DEFAULT_POLICY.with_overrides(
+        metric=args.metric, alpha=args.alpha,
+        min_relative_change=args.threshold,
+        min_seconds=args.min_seconds, min_samples=args.min_samples)
+    verdict = check_store(store, candidate, policy, limit=args.limit)
     _write_verdict(args, verdict)
     return EXIT_OK if verdict.ok else EXIT_PERF_REGRESSION
 
@@ -880,8 +867,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="replace the dataset if it already exists")
     _add_remote_common(rp)
 
-    p = sub.add_parser("perf", help="performance watchdog: record baseline "
-                                    "runs, check candidates for regressions")
+    p = sub.add_parser("perf", help="performance watchdog: record trace "
+                                    "files as baseline runs, check "
+                                    "candidates for regressions")
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
 
     def add_perf(name, fn, help_text):
@@ -895,67 +883,43 @@ def build_parser() -> argparse.ArgumentParser:
         pp.set_defaults(fn=fn)
         return pp
 
-    def add_perf_workload(pp):
-        pp.add_argument("--work-dir", dest="work_dir", default=None,
-                        metavar="DIR",
-                        help="workload scratch directory (default: "
-                             "<store>/workload; profiles are generated "
-                             "once and reused)")
-        pp.add_argument("--repeats", type=int, default=1, metavar="N",
-                        help="workload passes per run (default 1)")
-        pp.add_argument("--scale", type=float, default=None, metavar="S",
-                        help="campaign scale factor (default 0.1)")
-        pp.add_argument("--label", default=None,
-                        help="free-form label stored with the run")
-        from .perf.harness import DEFAULT_SCALE
-        pp.set_defaults(scale=DEFAULT_SCALE)
-
-    def add_perf_policy(pp):
-        pp.add_argument("--metric", default=None,
-                        help="metric column to compare "
-                             "(default: time (inc))")
-        pp.add_argument("--alpha", type=float, default=None,
-                        help="significance level for Welch's t-test")
-        pp.add_argument("--threshold", type=float, default=None,
-                        help="minimum relative change to flag "
-                             "(fraction, default 0.5)")
-        pp.add_argument("--min-seconds", type=float, default=None,
-                        dest="min_seconds",
-                        help="ignore nodes whose baseline and candidate "
-                             "means are both below this many seconds "
-                             "(default 0.01)")
-        pp.add_argument("--min-samples", type=int, default=None,
-                        dest="min_samples",
-                        help="runs required on each side before a node "
-                             "is judged (default 1)")
-        pp.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="use only the newest N baseline runs")
-        pp.add_argument("--out", default=None, metavar="PATH",
-                        help="also write the verdict JSON to PATH "
-                             "(atomic; for CI artifacts)")
-
     pp = add_perf("record", _cmd_perf_record,
-                  "run the standard workload and store it as a baseline run")
-    add_perf_workload(pp)
-    pp.add_argument("--keep", type=int, default=None, metavar="N",
-                    help="after recording, prune history to the newest N "
-                         "runs")
+                  "store each trace file as one baseline run")
+    pp.add_argument("traces", nargs="+", metavar="TRACE",
+                    help="trace files written by --trace (or perfbench's "
+                         "kept traces)")
+    pp.add_argument("--label", default=None,
+                    help="free-form label stored with each run")
 
     pp = add_perf("check", _cmd_perf_check,
-                  "run the workload fresh and exit 6 if it regressed "
+                  "exit 6 if trace files (or one stored run) regressed "
                   "vs the stored baseline")
-    add_perf_workload(pp)
-    add_perf_policy(pp)
-    pp.add_argument("--record", action="store_true",
-                    help="append the candidate to the history when it "
-                         "passes")
-
-    pp = add_perf("compare", _cmd_perf_compare,
-                  "compare a stored run id or trace file against the "
-                  "baseline history")
-    pp.add_argument("--candidate", required=True,
-                    help="run id (run-NNNNNN) or a --trace file path")
-    add_perf_policy(pp)
+    pp.add_argument("candidates", nargs="+", metavar="CANDIDATE",
+                    help="trace files whose root spans are pooled into "
+                         "one candidate, or one stored run id "
+                         "(run-NNNNNN, excluded from its own baseline)")
+    pp.add_argument("--metric", default=None,
+                    help="metric column to compare "
+                         "(default: time (inc))")
+    pp.add_argument("--alpha", type=float, default=None,
+                    help="significance level for Welch's t-test")
+    pp.add_argument("--threshold", type=float, default=None,
+                    help="minimum relative change to flag "
+                         "(fraction, default 0.5)")
+    pp.add_argument("--min-seconds", type=float, default=None,
+                    dest="min_seconds",
+                    help="ignore nodes whose baseline and candidate "
+                         "means are both below this many seconds "
+                         "(default 0.01)")
+    pp.add_argument("--min-samples", type=int, default=None,
+                    dest="min_samples",
+                    help="runs required on each side before a node "
+                         "is judged (default 1)")
+    pp.add_argument("--limit", type=int, default=None, metavar="N",
+                    help="use only the newest N baseline runs")
+    pp.add_argument("--out", default=None, metavar="PATH",
+                    help="also write the verdict JSON to PATH "
+                         "(atomic; for CI artifacts)")
 
     pp = add_perf("history", _cmd_perf_history,
                   "list recorded runs (verifying checksums)")

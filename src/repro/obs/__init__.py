@@ -67,8 +67,6 @@ from .sampler import (
     SamplingProfiler,
     StackSample,
     collapsed_stacks,
-    parse_collapsed,
-    read_speedscope,
     samples_to_thicket,
     to_speedscope,
 )
@@ -82,8 +80,7 @@ __all__ = [
     "load_trace", "summarize_spans", "spans_to_records", "records_to_spans",
     "to_thicket", "spans_to_graphframes",
     "SamplingProfiler", "StackSample", "collapsed_stacks",
-    "parse_collapsed", "to_speedscope", "read_speedscope",
-    "samples_to_thicket",
+    "to_speedscope", "samples_to_thicket",
     "ResourceMonitor", "read_rss_bytes",
     "configure_logging",
 ]

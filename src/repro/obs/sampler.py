@@ -43,9 +43,7 @@ __all__ = [
     "SamplingProfiler",
     "StackSample",
     "collapsed_stacks",
-    "parse_collapsed",
     "to_speedscope",
-    "read_speedscope",
     "samples_to_thicket",
 ]
 
@@ -269,26 +267,6 @@ def collapsed_stacks(samples: Sequence[StackSample]) -> str:
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
 
 
-def parse_collapsed(text: str) -> dict[tuple[str, ...], int]:
-    """Inverse of :func:`collapsed_stacks`: ``stack tuple → count``.
-
-    The thread pseudo-frame stays as the first tuple element; repeated
-    stacks accumulate.
-    """
-    out: dict[tuple[str, ...], int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        path, _, count = line.rpartition(" ")
-        if not path or not count.isdigit():
-            raise ValueError(
-                f"not a collapsed-stack line (want 'a;b;c N'): {line!r}")
-        stack = tuple(path.split(";"))
-        out[stack] = out.get(stack, 0) + int(count)
-    return out
-
-
 # ----------------------------------------------------------------------
 # speedscope format
 # ----------------------------------------------------------------------
@@ -330,39 +308,6 @@ def to_speedscope(samples: Sequence[StackSample], *,
         "shared": {"frames": frames},
         "profiles": profiles,
     }
-
-
-def read_speedscope(source: "str | Path | Mapping[str, Any]"
-                    ) -> list[StackSample]:
-    """Inverse of :func:`to_speedscope` (path, JSON text, or dict).
-
-    Counts are recovered from weights by dividing out the smallest
-    positive weight (the per-sample interval), so a round trip
-    preserves relative sample counts exactly.
-    """
-    if isinstance(source, Mapping):
-        doc: Any = source
-    else:
-        text = str(source)
-        if isinstance(source, Path) or not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
-        doc = json.loads(text)
-    if not isinstance(doc, Mapping) or "profiles" not in doc:
-        raise ValueError("not a speedscope document (no 'profiles' key)")
-    frames = [f.get("name", "?")
-              for f in (doc.get("shared") or {}).get("frames", [])]
-    out = []
-    for tid, prof in enumerate(doc["profiles"]):
-        weights = [float(w) for w in prof.get("weights", [])]
-        unit = min((w for w in weights if w > 0), default=1.0)
-        sample = StackSample(tid, str(prof.get("name", f"profile-{tid}")))
-        for row, weight in zip(prof.get("samples", []), weights):
-            stack = tuple(frames[i] for i in row)
-            count = max(1, int(round(weight / unit)))
-            sample.stacks[stack] = sample.stacks.get(stack, 0) + count
-            sample.count += count
-        out.append(sample)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 from ..obs import span as obs_span
 from ..obs.dogfood import WALL_INC
-from .store import PerfStore
+from .store import PerfStore, is_run_id
 
 __all__ = ["PerfPolicy", "PerfVerdict", "DEFAULT_POLICY",
            "check_regression", "check_store"]
@@ -233,16 +233,17 @@ def check_store(store: "PerfStore | str", candidate,
 
     *store* is a :class:`~repro.perf.store.PerfStore` (or its root
     path).  *candidate* is anything ``obs.to_thicket`` accepts — a
-    :class:`~repro.obs.Telemetry`, root spans, or a trace file path —
-    or a stored run id string (``run-NNNNNN``), which is loaded from
-    the store and excluded from the baseline automatically.
+    :class:`~repro.obs.Telemetry`, root spans (pooled, one profile
+    per root), or a trace file path — or a stored run id string
+    (exactly ``run-NNNNNN``), which is loaded from the store and
+    excluded from the baseline automatically.
     """
     from ..obs import to_thicket
 
     if not isinstance(store, PerfStore):
         store = PerfStore(store)
     exclude = list(exclude)
-    if isinstance(candidate, str) and candidate.startswith("run-"):
+    if isinstance(candidate, str) and is_run_id(candidate):
         roots, _meta, _metrics = store.load_run(candidate)
         exclude.append(candidate)
         candidate_tk = to_thicket(roots)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import platform
+import re
 import subprocess
 import time
 from pathlib import Path
@@ -34,12 +35,21 @@ from ..obs import span as obs_span
 from ..obs.core import Span, Telemetry
 from ..obs.export import records_to_spans, spans_to_records
 
-__all__ = ["PerfStore", "PerfRunInfo", "FORMAT_PERFRUN", "detect_commit"]
+__all__ = ["PerfStore", "PerfRunInfo", "FORMAT_PERFRUN", "detect_commit",
+           "is_run_id"]
 
 FORMAT_PERFRUN = "repro-perfrun-v1"
 
 _RUN_PREFIX = "run-"
 _RUN_DIGITS = 6
+_RUN_ID = re.compile(rf"{_RUN_PREFIX}[0-9]{{{_RUN_DIGITS}}}")
+
+
+def is_run_id(text: str) -> bool:
+    """True when *text* is a stored run id (``run-NNNNNN``) and nothing
+    more, so a trace file such as ``run-1.json`` is not mistaken for
+    one."""
+    return _RUN_ID.fullmatch(text) is not None
 
 
 def detect_commit(cwd: "str | Path | None" = None) -> str | None:

@@ -36,10 +36,11 @@ from __future__ import annotations
 import json
 import random
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Any
 
 from ..obs import counter as obs_counter
+from ..serve.http import _HTTPServer
 from ..serve.service import AnalysisService, error_payload
 
 __all__ = ["FlakyServer", "FLAKY_MODES"]
@@ -192,8 +193,7 @@ class FlakyServer:
         self.stalled = threading.Event()  # set on close: aborts stalls
         self.requests = 0
         self.faults: dict[str, int] = {m: 0 for m in FLAKY_MODES}
-        self.httpd = ThreadingHTTPServer((host, port),
-                                         _make_flaky_handler(self))
+        self.httpd = _HTTPServer((host, port), _make_flaky_handler(self))
         self.httpd.daemon_threads = True
         self._serve_thread: threading.Thread | None = None
 

@@ -1,13 +1,13 @@
 """Tests for the perf sentinel stack (``repro.perf`` + obs deepening).
 
 Covers: the sampling profiler (deterministic single samples, exporter
-round-trips, behaviour under a thread storm combined with a supervised
+output, behaviour under a thread storm combined with a supervised
 multiprocess ingest), the resource monitor's timelines with injected
 clocks, the append-only checksummed run store (round-trip, tamper
 detection, retention), the regression sentinel's verdict logic on
 synthetic span trees with scripted clocks, and the ``repro perf``
-CLI loop including the staged ``inject_slowdown`` regression that must
-exit with code 6.
+CLI loop on traced ``repro ingest`` runs, including the staged
+``inject_slowdown`` regression that must exit with code 6.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from repro.obs import (
     SamplingProfiler,
     Telemetry,
     collapsed_stacks,
-    parse_collapsed,
-    read_speedscope,
     samples_to_thicket,
     to_speedscope,
 )
@@ -37,7 +35,6 @@ from repro.perf import (
     PerfStore,
     check_regression,
     check_store,
-    workload_roots,
 )
 
 
@@ -74,6 +71,12 @@ def _spans_run(spec, root_name: str = "root", attrs: dict | None = None):
                 wall.tick(dur)
                 cpu.tick(dur)
     return t.finished_spans()[0]
+
+
+def _trace_file(path, spec) -> str:
+    """Write one scripted root span as a Chrome trace file."""
+    obs.write_chrome_trace([_spans_run(spec)], path)
+    return str(path)
 
 
 # ----------------------------------------------------------------------
@@ -127,34 +130,51 @@ class TestSampler:
             SamplingProfiler(hz=-5)
 
     def test_collapsed_round_trip(self):
+        """The samples come back out as one `thread;...;frame N` line
+        per stack."""
         s = StackSample(tid=1, thread_name="main")
         s.add(("a.py:f", "a.py:g"))
         s.add(("a.py:f", "a.py:g"))
         s.add(("a.py:f", "b.py:h"))
-        text = collapsed_stacks([s])
-        back = parse_collapsed(text)
-        assert back[("thread (main)", "a.py:f", "a.py:g")] == 2
-        assert back[("thread (main)", "a.py:f", "b.py:h")] == 1
-        # weights accumulate when the same line repeats
-        assert parse_collapsed(text + "\n" + text)[
-            ("thread (main)", "a.py:f", "a.py:g")] == 4
+        s.add(())  # sampled with no Python frames: the thread alone
+        odd = StackSample(tid=2, thread_name="x;y")
+        odd.add(("c.py:k",))
+        text = collapsed_stacks([s, odd])
+        assert text.endswith("\n")
+        # `thread;...;frame N`, sorted; ';' in a thread name is escaped
+        assert text.splitlines() == [
+            "thread (main) 1",
+            "thread (main);a.py:f;a.py:g 2",
+            "thread (main);a.py:f;b.py:h 1",
+            "thread (x,y);c.py:k 1",
+        ]
+        assert collapsed_stacks([]) == ""
 
     def test_speedscope_round_trip(self):
+        """The samples come back out as speedscope frames, sample rows
+        and count x interval weights."""
         s = StackSample(tid=7, thread_name="w0")
         s.add(("m.py:top", "m.py:inner"))
         s.add(("m.py:top", "m.py:inner"))
         s.add(("m.py:top",))
         doc = to_speedscope([s], interval=0.01)
         assert doc["$schema"].endswith("file-format-schema.json")
-        back = read_speedscope(json.dumps(doc, sort_keys=True))
-        merged = {}
-        for sample in back:
-            for stack, count in sample.stacks.items():
-                merged[stack] = merged.get(stack, 0) + count
-        assert merged[("m.py:top", "m.py:inner")] == 2
-        assert merged[("m.py:top",)] == 1
+        # one shared frame table, indexed by the sample rows
+        assert doc["shared"]["frames"] == [
+            {"name": "m.py:top"}, {"name": "m.py:inner"}]
+        (prof,) = doc["profiles"]
+        assert prof["type"] == "sampled"
+        assert prof["name"] == "w0 (tid 7)"
+        assert prof["unit"] == "seconds"
+        assert prof["samples"] == [[0], [0, 1]]
+        # weights are count x interval; the profile spans their sum
+        assert prof["weights"] == [pytest.approx(1 * 0.01),
+                                   pytest.approx(2 * 0.01)]
+        assert prof["endValue"] == pytest.approx(3 * 0.01)
+        json.dumps(doc, sort_keys=True)  # JSON-ready
 
     def test_write_exporters_and_read_back(self, tmp_path):
+        """The files on disk hold exactly what the exporters return."""
         stop = threading.Event()
         worker = threading.Thread(target=stop.wait, args=(10.0,))
         worker.start()
@@ -166,9 +186,17 @@ class TestSampler:
             worker.join()
         collapsed_path = p.write_collapsed(tmp_path / "prof.collapsed")
         speedscope_path = p.write_speedscope(tmp_path / "prof.json")
-        assert parse_collapsed(collapsed_path.read_text())
-        assert read_speedscope(speedscope_path)
-        json.loads(speedscope_path.read_text())  # valid JSON on disk
+        text = collapsed_path.read_text()
+        assert text == p.collapsed()
+        lines = text.splitlines()
+        assert lines
+        for line in lines:
+            path, _, count = line.rpartition(" ")
+            assert path.startswith("thread (") and count.isdigit()
+        doc = json.loads(speedscope_path.read_text())
+        assert doc == p.speedscope()
+        assert sum(len(prof["samples"]) for prof in doc["profiles"]) \
+            == len(lines)
 
     def test_samples_to_thicket(self):
         s = StackSample(tid=11, thread_name="main")
@@ -497,42 +525,62 @@ class TestSentinel:
         assert v.baseline_runs == 2
         assert not v.ok
 
+    def test_check_store_trace_file_named_like_a_run_id(self, tmp_path):
+        store = PerfStore(tmp_path / "hist")
+        store.record([_spans_run([("work.a", 1.0)])])
+        store.record([_spans_run([("work.a", 1.05)])])
+        # only the exact run-NNNNNN form names a stored run
+        trace = _trace_file(tmp_path / "run-1.json", [("work.a", 4.0)])
+        v = check_store(store, trace, self.POLICY)
+        assert v.baseline_runs == 2 and v.candidate_runs == 1
+        assert "work.a" in [r["node"] for r in v.regressions]
+
 
 # ----------------------------------------------------------------------
-# harness + CLI loop
+# CLI loop on traces
 # ----------------------------------------------------------------------
 
 class TestPerfWorkflow:
-    SCALE = "0.04"
+    @pytest.fixture
+    def campaign(self, tmp_path):
+        from repro.workloads import RAJA_CAMPAIGN, write_raja_campaign
 
-    def test_workload_roots_shape(self, tmp_path):
-        roots = workload_roots(tmp_path, repeats=2, scale=0.04)
-        assert len(roots) == 2
-        assert all(r.name == "perf.workload" for r in roots)
-        names = {s.name for s in roots[0].walk()}
-        assert {"perf.workload.ingest", "perf.workload.stats",
-                "perf.workload.query"} <= names
-        assert roots[0].attrs["profiles"] > 0
-        with pytest.raises(ValueError):
-            workload_roots(tmp_path, repeats=0)
+        profile_dir = tmp_path / "profiles"
+        write_raja_campaign(profile_dir, campaign=RAJA_CAMPAIGN[:1],
+                            scale=0.04)
+        return profile_dir
 
-    def test_cli_record_check_inject_slowdown_cycle(self, tmp_path):
+    @staticmethod
+    def _ingest_traces(campaign, out_dir, n, tag) -> list[str]:
+        """Trace *n* ``repro ingest`` runs of *campaign*."""
+        from repro.cli import main
+
+        paths = []
+        for i in range(n):
+            path = out_dir / f"{tag}-{i}.json"
+            assert main(["--trace", str(path), "ingest", str(campaign)]) == 0
+            paths.append(str(path))
+        return paths
+
+    def test_cli_record_check_inject_slowdown_cycle(self, tmp_path,
+                                                    campaign):
         from repro.cli import EXIT_PERF_REGRESSION, main
         from repro.workloads import inject_slowdown
 
-        store = tmp_path / "hist"
-        args = ["--store", str(store), "--scale", self.SCALE]
-        assert main(["perf", "record", *args, "--label", "seed"]) == 0
-        assert main(["perf", "record", *args]) == 0
+        store = ["--store", str(tmp_path / "hist")]
         verdict_path = tmp_path / "verdict.json"
-        assert main(["perf", "check", *args,
-                     "--out", str(verdict_path)]) == 0
+        out = ["--out", str(verdict_path)]
+        base = self._ingest_traces(campaign, tmp_path, 2, "base")
+        assert main(["perf", "record", *store, *base]) == 0
+        clean = self._ingest_traces(campaign, tmp_path, 3, "clean")
+        assert main(["perf", "check", *store, *clean, *out]) == 0
         doc = json.loads(verdict_path.read_text())
-        assert doc["ok"] is True and doc["baseline_runs"] == 2
+        assert doc["ok"] is True
+        assert doc["baseline_runs"] == 2 and doc["candidate_runs"] == 3
 
-        victim = sorted((store / "workload" / "profiles").glob("*.json"))[0]
-        inject_slowdown(victim, seconds=0.5)
-        rc = main(["perf", "check", *args, "--out", str(verdict_path)])
+        inject_slowdown(sorted(campaign.glob("*.json"))[0], seconds=0.5)
+        slow = self._ingest_traces(campaign, tmp_path, 3, "slow")
+        rc = main(["perf", "check", *store, *slow, *out])
         assert rc == EXIT_PERF_REGRESSION == 6
         doc = json.loads(verdict_path.read_text())
         assert doc["ok"] is False
@@ -542,23 +590,38 @@ class TestPerfWorkflow:
     def test_cli_history_and_prune(self, tmp_path, capsys):
         from repro.cli import main
 
-        store = tmp_path / "hist"
-        args = ["--store", str(store), "--scale", self.SCALE]
-        assert main(["perf", "record", *args]) == 0
-        assert main(["perf", "record", *args, "--keep", "1"]) == 0
+        store = str(tmp_path / "hist")
+        traces = [_trace_file(tmp_path / f"t{i}.json", [("work.a", 1.0)])
+                  for i in range(2)]
+        assert main(["perf", "record", "--store", store, *traces]) == 0
         capsys.readouterr()  # drop the record confirmations
-        assert main(["perf", "history", "--store", str(store),
-                     "--json"]) == 0
+        assert main(["perf", "history", "--store", store,
+                     "--prune", "1", "--json"]) == 0
         runs = json.loads(capsys.readouterr().out)
         assert [r["run_id"] for r in runs] == ["run-000002"]
 
     def test_cli_check_empty_store_is_actionable(self, tmp_path, capsys):
         from repro.cli import main
 
+        trace = _trace_file(tmp_path / "t.json", [("work.a", 1.0)])
         rc = main(["perf", "check", "--store", str(tmp_path / "none"),
-                   "--scale", self.SCALE])
+                   trace])
         assert rc == 1
         assert "record a baseline" in capsys.readouterr().err
+
+    def test_cli_unreadable_trace_file_is_named(self, tmp_path):
+        from repro.cli import main
+
+        missing = str(tmp_path / "absent.json")
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{not json")
+        for path, message in ((missing, "no such trace file"),
+                              (str(garbled), "not a trace file")):
+            for argv in (["perf", "record", "--store",
+                          str(tmp_path / "h"), path],
+                         ["obs", path]):
+                with pytest.raises(SystemExit, match=message):
+                    main(argv)
 
     def test_cli_compare_stored_runs(self, tmp_path, capsys):
         from repro.cli import main
@@ -567,10 +630,11 @@ class TestPerfWorkflow:
         store.record([_spans_run([("work.a", 1.0)])])
         store.record([_spans_run([("work.a", 1.02)])])
         store.record([_spans_run([("work.a", 4.0)])])
-        rc = main(["perf", "compare", "--store", str(tmp_path / "hist"),
-                   "--candidate", "run-000003", "--json"])
+        rc = main(["perf", "check", "--store", str(tmp_path / "hist"),
+                   "run-000003", "--json"])
         assert rc == 6
         doc = json.loads(capsys.readouterr().out)
+        assert doc["baseline_runs"] == 2  # run-000003 judged, not pooled
         assert "work.a" in [r["node"] for r in doc["regressions"]]
 
     def test_cli_profile_flag_writes_flamegraph(self, tmp_path, capsys):
