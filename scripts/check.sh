@@ -270,6 +270,26 @@ traced_ingest "$PERF_DIR/clean-2.json"
 traced_ingest "$PERF_DIR/clean-3.json"
 python -m repro perf check "${PERF_STORE[@]}" --out "$VERDICT_OUT" \
     "$PERF_DIR"/clean-*.json
+# a trace with no completed spans is a command failure (exit 1) and
+# leaves the history as it was
+echo '{"traceEvents": []}' > "$PERF_DIR/no-spans.json"
+rc=0
+python -m repro perf record "${PERF_STORE[@]}" "$PERF_DIR/no-spans.json" \
+    || rc=$?
+if [ "$rc" -ne 1 ]; then
+    echo "FAIL: recording a span-less trace exited $rc, expected 1" >&2
+    exit 1
+fi
+python -m repro perf history "${PERF_STORE[@]}" --json \
+    > "$PERF_DIR/history.json"
+python - "$PERF_DIR/history.json" <<'PY'
+import json
+import sys
+
+runs = [r["run_id"] for r in json.load(open(sys.argv[1]))]
+assert runs == ["run-000001", "run-000002"], runs
+print("span-less trace refused with exit code 1; history still 2 runs")
+PY
 python -m repro perf history "${PERF_STORE[@]}"
 python - "$PERF_DIR/profiles" <<'PY'
 import sys
@@ -285,6 +305,10 @@ traced_ingest "$PERF_DIR/slow-1.json" \
     --profile 100 --profile-out "$PROFILE_OUT"
 if [ ! -s "$PROFILE_OUT" ]; then
     echo "FAIL: no flamegraph written to $PROFILE_OUT" >&2
+    exit 1
+fi
+if grep -Evq '^.+ [0-9]+$' "$PROFILE_OUT"; then
+    echo "FAIL: $PROFILE_OUT is not in collapsed-stack format" >&2
     exit 1
 fi
 traced_ingest "$PERF_DIR/slow-2.json"

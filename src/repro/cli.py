@@ -35,9 +35,9 @@ Self-instrumentation (``repro.obs``) is surfaced through three global
 flags, accepted both before and after the subcommand name:
 
 ``--trace PATH``
-    Record spans for the whole command and write a trace file on exit
-    (Chrome ``trace_event`` JSON by default, JSONL when *PATH* ends in
-    ``.jsonl``).  Load it in Perfetto, summarize it with
+    Record spans for the whole command and write a Chrome
+    ``trace_event`` JSON file on exit, whatever the suffix of *PATH*.
+    Load it in Perfetto, summarize it with
     ``repro obs PATH``, or analyze it with ``repro.obs.to_thicket``.
 ``--metrics``
     Enable telemetry and print the span summary table plus the metrics
@@ -50,8 +50,8 @@ flags, accepted both before and after the subcommand name:
 A fourth global flag, ``--profile HZ``, attaches the background
 sampling profiler (:class:`repro.obs.SamplingProfiler`) to any
 subcommand and writes a collapsed-stack flamegraph file on exit
-(``--profile-out`` picks the path; a ``.json`` suffix switches to the
-speedscope format).
+(``--profile-out`` picks the path, whatever its suffix; flamegraph.pl
+and speedscope.app both render it).
 
 The performance watchdog lives under ``repro perf``.  It judges
 trace files, from ``--trace`` or perfbench, and runs no workload
@@ -74,9 +74,10 @@ It exposes the thicket stores in a directory over an HTTP JSON API
 ``/v1/ingest``, ``/v1/metrics``) with admission control, per-request
 deadlines, and memory-pressure degradation; SIGTERM drains gracefully.
 
-Exit codes: 0 success; 1 command-level failure (e.g. no query match);
-2 ingestion failed (strict error, or nothing loadable); 3 partial
-ingestion (the command succeeded but profiles were quarantined);
+Exit codes: 0 success; 1 command-level failure (e.g. no query match,
+or a trace file with no completed spans); 2 ingestion failed (strict
+error, or nothing loadable); 3 partial ingestion (the command
+succeeded but profiles were quarantined);
 4 corrupt or unreadable durable store (failed checksum, truncated
 file, or broken structural invariants under ``repro validate``);
 5 static-analysis findings (``repro lint`` found unsuppressed rule
@@ -385,15 +386,19 @@ def _cmd_remote(args) -> int:
 
 def _load_trace(path: str):
     """``(roots, metrics)`` of a trace file named on the command line
-    (``--trace`` output or perfbench's kept traces)."""
+    (``--trace`` output or perfbench's kept traces); a missing, non-JSON
+    or span-less file ends the command with exit 1."""
     from . import obs
 
     if not Path(path).exists():
         raise SystemExit(f"no such trace file: {path}")
     try:
-        return obs.load_trace(path)
+        roots, metrics = obs.load_trace(path)
     except ValueError as e:  # json.JSONDecodeError
         raise SystemExit(f"not a trace file: {path}: {e}") from e
+    if not roots:
+        raise SystemExit(f"{path}: no completed spans")
+    return roots, metrics
 
 
 def _cmd_obs(args) -> int:
@@ -402,11 +407,7 @@ def _cmd_obs(args) -> int:
 
     from . import obs
 
-    path = args.tracefile
-    roots, metrics = _load_trace(path)
-    if not roots:
-        print(f"{path}: no completed spans", file=sys.stderr)
-        return 1
+    roots, metrics = _load_trace(args.tracefile)
     if args.json:
         doc = {
             "roots": len(roots),
@@ -502,8 +503,8 @@ def _cmd_perf_record(args) -> int:
     from .perf import PerfStore
 
     store = PerfStore(args.store)
-    infos = [store.record(_load_trace(path)[0], label=args.label)
-             for path in args.traces]
+    traces = [_load_trace(path)[0] for path in args.traces]
+    infos = [store.record(roots, label=args.label) for roots in traces]
     if args.json:
         print(json_mod.dumps([i.to_dict() for i in infos],
                              indent=2, sort_keys=True))
@@ -582,9 +583,8 @@ def _add_obs_flags(parser, suppress: bool = False,
     """
     default = argparse.SUPPRESS if suppress else None
     parser.add_argument("--trace", metavar="PATH", default=default,
-                        help="record spans and write a trace file on exit "
-                             "(Chrome trace_event JSON; *.jsonl for the "
-                             "line-oriented format)")
+                        help="record spans and write a Chrome "
+                             "trace_event JSON file on exit")
     if include_metrics:
         parser.add_argument(
             "--metrics", dest="obs_metrics", action="store_true",
@@ -599,9 +599,8 @@ def _add_obs_flags(parser, suppress: bool = False,
                              "and write a flamegraph file on exit")
     parser.add_argument("--profile-out", metavar="PATH", dest="profile_out",
                         default=default,
-                        help="profiler output path (default "
-                             "repro-profile.collapsed; use a .json suffix "
-                             "for speedscope format)")
+                        help="collapsed-stack output path (default "
+                             "repro-profile.collapsed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -913,8 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default 0.01)")
     pp.add_argument("--min-samples", type=int, default=None,
                     dest="min_samples",
-                    help="runs required on each side before a node "
-                         "is judged (default 1)")
+                    help="root spans required on each side before a "
+                         "node is judged (default 1)")
     pp.add_argument("--limit", type=int, default=None, metavar="N",
                     help="use only the newest N baseline runs")
     pp.add_argument("--out", default=None, metavar="PATH",
@@ -929,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obs", help="summarize a --trace file "
                                    "(span table, metrics, span tree)")
     p.add_argument("tracefile", help="trace file written by --trace "
-                                     "(Chrome trace_event JSON or JSONL)")
+                                     "(Chrome trace_event JSON)")
     p.add_argument("--tree", action="store_true",
                    help="load the trace as a Thicket and render the "
                         "span tree")
@@ -954,11 +953,7 @@ def _finish_telemetry(args) -> None:
     obs.disable()
     trace_path = getattr(args, "trace", None)
     if trace_path:
-        path = Path(trace_path)
-        if path.suffix == ".jsonl":
-            obs.write_jsonl(telemetry, path)
-        else:
-            obs.write_chrome_trace(telemetry, path)
+        path = obs.write_chrome_trace(telemetry, trace_path)
         print(f"trace written to {path} "
               f"({len(telemetry.finished_spans())} root span(s)); "
               f"inspect with: repro obs {path}", file=sys.stderr)
@@ -970,16 +965,11 @@ def _finish_telemetry(args) -> None:
 def _finish_profiler(args, profiler) -> None:
     """Stop the sampling profiler and write its flamegraph file."""
     profiler.stop()
-    out = getattr(args, "profile_out", None) or "repro-profile.collapsed"
-    path = Path(out)
-    if path.suffix == ".json":
-        profiler.write_speedscope(path)
-        hint = "load at https://www.speedscope.app"
-    else:
-        profiler.write_collapsed(path)
-        hint = "render with flamegraph.pl or speedscope"
+    path = profiler.write_collapsed(
+        getattr(args, "profile_out", None) or "repro-profile.collapsed")
     print(f"profile written to {path} ({profiler.total_samples} samples "
-          f"@ {profiler.hz:g} Hz; {hint})", file=sys.stderr)
+          f"@ {profiler.hz:g} Hz; render with flamegraph.pl or "
+          f"speedscope)", file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

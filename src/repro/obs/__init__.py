@@ -9,15 +9,14 @@ performance.  This subsystem provides:
 * a thread-safe :class:`MetricsRegistry` of counters / gauges /
   histograms with module-level :func:`counter` / :func:`gauge` /
   :func:`observe` helpers;
-* exporters: JSONL event logs, Chrome ``trace_event`` files loadable
-  in Perfetto / ``about:tracing``, and plain-text summary tables;
+* exporters: Chrome ``trace_event`` files loadable in Perfetto /
+  ``about:tracing`` (the one trace file format, read back by
+  :func:`load_trace`), and plain-text summary tables;
 * the dogfood closer, :func:`to_thicket`, which converts a span tree
   into a real :class:`repro.core.Thicket` so every existing stats /
   query / viz API analyzes the library's own execution;
-* a background-thread :class:`SamplingProfiler` (collapsed-stack /
-  speedscope exporters, :func:`samples_to_thicket`) and a periodic
-  :class:`ResourceMonitor` recording RSS / CPU% / GC / thread-count
-  timelines into the metrics registry;
+* a background-thread :class:`SamplingProfiler` whose samples export
+  as collapsed stacks (flamegraph.pl / speedscope input);
 * :func:`configure_logging` for the ``repro.*`` structured-logging
   hierarchy used by the ingest pipeline.
 
@@ -49,39 +48,23 @@ from .dogfood import spans_to_graphframes, to_thicket
 from .export import (
     load_trace,
     read_chrome_trace,
-    read_jsonl,
     records_to_spans,
     spans_to_records,
     summarize_spans,
     write_chrome_trace,
-    write_jsonl,
 )
-from .metrics import (
-    HistogramSummary,
-    MetricsRegistry,
-    Timeline,
-    format_snapshot,
-)
-from .resources import ResourceMonitor, read_rss_bytes
-from .sampler import (
-    SamplingProfiler,
-    StackSample,
-    collapsed_stacks,
-    samples_to_thicket,
-    to_speedscope,
-)
+from .metrics import HistogramSummary, MetricsRegistry, format_snapshot
+from .sampler import SamplingProfiler, StackSample, collapsed_stacks
 
 __all__ = [
-    "Span", "Telemetry", "MetricsRegistry", "HistogramSummary", "Timeline",
+    "Span", "Telemetry", "MetricsRegistry", "HistogramSummary",
     "format_snapshot",
     "span", "counter", "gauge", "observe",
     "enable", "disable", "reset", "get_telemetry", "telemetry_enabled",
-    "write_jsonl", "read_jsonl", "write_chrome_trace", "read_chrome_trace",
+    "write_chrome_trace", "read_chrome_trace",
     "load_trace", "summarize_spans", "spans_to_records", "records_to_spans",
     "to_thicket", "spans_to_graphframes",
     "SamplingProfiler", "StackSample", "collapsed_stacks",
-    "to_speedscope", "samples_to_thicket",
-    "ResourceMonitor", "read_rss_bytes",
     "configure_logging",
 ]
 

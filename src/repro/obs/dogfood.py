@@ -108,9 +108,9 @@ def to_thicket(source: "str | Path | Telemetry | Sequence[Span]",
     Parameters
     ----------
     source:
-        A trace file path (JSONL or Chrome ``trace_event`` — format is
-        sniffed), a :class:`Telemetry` instance, or a sequence of root
-        :class:`Span` objects.
+        A Chrome ``trace_event`` file path (read with
+        :func:`~repro.obs.load_trace`), a :class:`Telemetry` instance,
+        or a sequence of root :class:`Span` objects.
     metrics:
         Optional metrics snapshot to stash in ``thicket.provenance``
         (read from the trace file automatically when loading one).

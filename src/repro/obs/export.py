@@ -1,23 +1,18 @@
-"""Trace exporters and loaders: JSONL, Chrome ``trace_event``, text.
+"""Trace exporters and loaders: Chrome ``trace_event``, text.
 
-Three interchangeable views of one span forest:
+Two views of one span forest:
 
-``write_jsonl`` / ``read_jsonl``
-    One JSON object per line (``kind: span`` / ``kind: metrics``);
-    lossless round-trip of the span tree including attributes, CPU
-    time, and thread ids.
 ``write_chrome_trace`` / ``read_chrome_trace``
     The Trace Event Format consumed by Perfetto / ``about:tracing``
     (complete ``"ph": "X"`` events, microsecond timestamps).  Span ids
     and parent links ride along in ``args`` so the tree also
-    round-trips losslessly.
+    round-trips losslessly, with attributes, CPU time, errors and the
+    metrics snapshot.  This is the one trace file format: ``--trace``
+    writes it, and ``repro obs``, :func:`repro.obs.to_thicket` and
+    ``repro perf`` read it through :func:`load_trace`.
 ``summarize_spans``
     Aggregated plain-text table (calls, wall, self, CPU per span
     name) for terminal consumption.
-
-``load_trace`` sniffs the format (a leading ``{`` or ``[`` means
-Chrome JSON, anything else means JSONL), so downstream consumers —
-``repro obs`` and :func:`repro.obs.to_thicket` — accept either file.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from .core import Span, Telemetry
 
 __all__ = [
     "spans_to_records", "records_to_spans",
-    "write_jsonl", "read_jsonl",
     "write_chrome_trace", "read_chrome_trace",
     "load_trace", "summarize_spans",
 ]
@@ -103,45 +97,6 @@ def records_to_spans(records: Iterable[dict[str, Any]]) -> list[Span]:
 
 
 # ----------------------------------------------------------------------
-# JSONL
-# ----------------------------------------------------------------------
-
-def write_jsonl(spans: Sequence[Span] | Telemetry, path: str | Path,
-                metrics: dict[str, Any] | None = None) -> Path:
-    """Write one ``kind: span`` object per line, plus a trailing
-    ``kind: metrics`` line when a metrics snapshot is given (or the
-    argument is a :class:`Telemetry` with recorded metrics)."""
-    roots = _all_roots(spans)
-    if metrics is None and isinstance(spans, Telemetry):
-        snap = spans.metrics.snapshot()
-        if any(snap.values()):
-            metrics = snap
-    lines = [json.dumps({"kind": "span", **rec}, sort_keys=True)
-             for rec in spans_to_records(roots)]
-    if metrics:
-        lines.append(json.dumps({"kind": "metrics", "metrics": metrics},
-                                sort_keys=True))
-    # atomic replace: a crash mid-export must not leave a torn trace
-    return atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
-def read_jsonl(path: str | Path) -> tuple[list[Span], dict[str, Any]]:
-    """Inverse of :func:`write_jsonl`: ``(roots, metrics)``."""
-    records = []
-    metrics: dict[str, Any] = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        if obj.get("kind") == "metrics":
-            metrics = obj.get("metrics", {})
-        else:
-            records.append(obj)
-    return records_to_spans(records), metrics
-
-
-# ----------------------------------------------------------------------
 # Chrome trace_event format
 # ----------------------------------------------------------------------
 
@@ -200,7 +155,19 @@ def write_chrome_trace(spans: Sequence[Span] | Telemetry,
 
 def read_chrome_trace(path: str | Path) -> tuple[list[Span], dict[str, Any]]:
     """Inverse of :func:`write_chrome_trace`: ``(roots, metrics)``."""
-    doc = json.loads(Path(path).read_text())
+    return _chrome_doc_to_spans(json.loads(Path(path).read_text()))
+
+
+def load_trace(path: str | Path) -> tuple[list[Span], dict[str, Any]]:
+    """:func:`read_chrome_trace`, except that an empty file is a trace
+    with no spans."""
+    text = Path(path).read_text()
+    if not text.strip():
+        return [], {}
+    return _chrome_doc_to_spans(json.loads(text))
+
+
+def _chrome_doc_to_spans(doc: Any) -> tuple[list[Span], dict[str, Any]]:
     if isinstance(doc, list):  # bare traceEvents array is also legal
         events, metrics = doc, {}
     else:
@@ -232,19 +199,6 @@ def read_chrome_trace(path: str | Path) -> tuple[list[Span], dict[str, Any]]:
     # chrome traces are not guaranteed parent-before-child; sort by sid
     records.sort(key=lambda r: (r["sid"] is None, r["sid"]))
     return records_to_spans(records), metrics
-
-
-def load_trace(path: str | Path) -> tuple[list[Span], dict[str, Any]]:
-    """Load either trace flavour, sniffing the format from content."""
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if not stripped:
-        return [], {}
-    head = stripped.splitlines()[0].strip()
-    if head.startswith("[") or (head.startswith("{")
-                                and '"kind"' not in head):
-        return read_chrome_trace(path)
-    return read_jsonl(path)
 
 
 # ----------------------------------------------------------------------

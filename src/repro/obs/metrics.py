@@ -1,12 +1,10 @@
-"""Thread-safe registry of counters, gauges, histograms, timelines.
+"""Thread-safe registry of counters, gauges and histograms.
 
-The registry is deliberately tiny: four dictionaries behind one lock.
-Counters accumulate, gauges hold the last value, histograms keep a
+The registry is deliberately tiny: three dictionaries behind one lock.
+Counters accumulate, gauges hold the last value, and histograms keep a
 bounded sample plus exact count/sum/min/max so summaries stay correct
-even after the sample saturates, and timelines keep a bounded
-``(t, value)`` series for periodic resource gauges (RSS, CPU%, …).
-Everything is standard library only so the registry is importable from
-the bottom of the stack.
+even after the sample saturates. Everything is standard library only
+so the registry is importable from the bottom of the stack.
 """
 
 from __future__ import annotations
@@ -14,19 +12,12 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-__all__ = ["MetricsRegistry", "HistogramSummary", "Timeline",
-           "format_snapshot"]
+__all__ = ["MetricsRegistry", "HistogramSummary", "format_snapshot"]
 
 # Keep at most this many raw observations per histogram; beyond it the
 # sample decimates (every other element) so memory stays bounded while
 # count/sum/min/max remain exact.
 _HISTOGRAM_SAMPLE_CAP = 8192
-
-# Keep at most this many (t, value) points per timeline; beyond it the
-# series decimates (every other point) so a long-running resource
-# monitor keeps a thinning-but-full-span history in bounded memory.
-_TIMELINE_POINT_CAP = 4096
-
 
 class HistogramSummary:
     """Exact count/sum/min/max plus a bounded sample for quantiles."""
@@ -75,45 +66,6 @@ class HistogramSummary:
         }
 
 
-class Timeline:
-    """A bounded ``(t, value)`` series plus exact count/min/max/last.
-
-    Periodic resource gauges (RSS, CPU%, thread count) are timelines:
-    the shape over time matters, not just the latest value.  Points
-    decimate (every other point) past the cap so a monitor running for
-    hours keeps a full-span, thinning series in bounded memory.
-    """
-
-    __slots__ = ("count", "minimum", "maximum", "last", "points")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.minimum = float("inf")
-        self.maximum = float("-inf")
-        self.last = float("nan")
-        self.points: list[tuple[float, float]] = []
-
-    def add(self, t: float, value: float) -> None:
-        self.count += 1
-        self.last = value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        self.points.append((t, value))
-        if len(self.points) > _TIMELINE_POINT_CAP:
-            del self.points[::2]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "min": self.minimum if self.count else float("nan"),
-            "max": self.maximum if self.count else float("nan"),
-            "last": self.last,
-            "points": [[t, v] for t, v in self.points],
-        }
-
-
 class MetricsRegistry:
     """Named counters/gauges/histograms behind a single lock.
 
@@ -126,7 +78,6 @@ class MetricsRegistry:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, HistogramSummary] = {}
-        self._timelines: dict[str, Timeline] = {}
 
     # -- write ---------------------------------------------------------
     def increment(self, name: str, value: float = 1.0) -> None:
@@ -144,20 +95,11 @@ class MetricsRegistry:
                 hist = self._histograms[name] = HistogramSummary()
             hist.add(value)
 
-    def record_point(self, name: str, t: float, value: float) -> None:
-        """Append one ``(t, value)`` point to the named timeline."""
-        with self._lock:
-            tl = self._timelines.get(name)
-            if tl is None:
-                tl = self._timelines[name] = Timeline()
-            tl.add(t, value)
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
-            self._timelines.clear()
 
     # -- read ----------------------------------------------------------
     def counter_value(self, name: str) -> float:
@@ -177,21 +119,12 @@ class MetricsRegistry:
                 "histograms": {
                     k: h.to_dict() for k, h in self._histograms.items()
                 },
-                "timelines": {
-                    k: t.to_dict() for k, t in self._timelines.items()
-                },
             }
-
-    def timeline_points(self, name: str) -> list[tuple[float, float]]:
-        """Copy of the named timeline's retained ``(t, value)`` points."""
-        with self._lock:
-            tl = self._timelines.get(name)
-            return list(tl.points) if tl is not None else []
 
     def __len__(self) -> int:
         with self._lock:
             return (len(self._counters) + len(self._gauges)
-                    + len(self._histograms) + len(self._timelines))
+                    + len(self._histograms))
 
     def summary(self) -> str:
         """Plain-text table of all metrics, sorted by name."""
@@ -224,11 +157,4 @@ def format_snapshot(snap: dict[str, Any]) -> str:
                 f"mean={h['mean']:.6g} min={h['min']:.6g} "
                 f"p50={h['p50']:.6g} p95={h['p95']:.6g} "
                 f"p99={h['p99']:.6g} max={h['max']:.6g}")
-    if snap.get("timelines"):
-        lines.append("timelines:")
-        for name in sorted(snap["timelines"]):
-            t = snap["timelines"][name]
-            lines.append(
-                f"  {name}  n={t['count']} last={t['last']:.6g} "
-                f"min={t['min']:.6g} max={t['max']:.6g}")
     return "\n".join(lines) if lines else "(no metrics recorded)"

@@ -6,16 +6,9 @@ time, instrumented or not.  :class:`SamplingProfiler` wakes a daemon
 thread at a configurable rate, snapshots every live thread's Python
 stack via ``sys._current_frames()``, and folds each stack into an
 aggregated ``(thread, call path) → sample count`` table.  The result
-exports three ways:
-
-* **collapsed stacks** (``frame;frame;frame count`` lines, the
-  flamegraph.pl / inferno input format),
-* **speedscope JSON** (one sampled profile per thread, loadable at
-  speedscope.app), and
-* **a real Thicket** via :func:`samples_to_thicket` — one profile per
-  sampled thread, call-path nodes per frame, so the profiler's output
-  flows through the same stats / query / viz APIs as any other profile
-  (the same dogfood closure ``obs.to_thicket`` provides for spans).
+exports as collapsed stacks (``thread;frame;...;frame count`` lines),
+the input format of flamegraph.pl and inferno, which speedscope.app
+also opens.
 
 Design constraints mirror the tracing core: standard library only, an
 injectable clock (RPR004) so tests drive deterministic timestamps, and
@@ -30,12 +23,11 @@ the supervisor.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from ..ioutil import atomic_write_text
 
@@ -43,13 +35,9 @@ __all__ = [
     "SamplingProfiler",
     "StackSample",
     "collapsed_stacks",
-    "to_speedscope",
-    "samples_to_thicket",
 ]
 
 _MAX_STACK_DEPTH = 200
-
-SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
 
 def _frame_label(frame) -> str:
@@ -221,25 +209,9 @@ class SamplingProfiler:
         """Collapsed-stack (flamegraph.pl) text for all threads."""
         return collapsed_stacks(self.samples())
 
-    def speedscope(self, name: str = "repro sampling profile") -> dict:
-        """Speedscope JSON document for all threads."""
-        return to_speedscope(self.samples(), interval=self.interval,
-                             name=name)
-
     def write_collapsed(self, path: "str | Path") -> Path:
         """Atomically write the collapsed-stack text to *path*."""
         return atomic_write_text(Path(path), self.collapsed())
-
-    def write_speedscope(self, path: "str | Path") -> Path:
-        """Atomically write the speedscope JSON document to *path*."""
-        return atomic_write_text(
-            Path(path), json.dumps(self.speedscope(), sort_keys=True))
-
-    def to_thicket(self, metadata: Mapping[str, Any] | None = None):
-        """The sampled call-path forest as a :class:`repro.core.Thicket`
-        (one profile per sampled thread)."""
-        return samples_to_thicket(self.samples(), interval=self.interval,
-                                  metadata=metadata)
 
     def __repr__(self) -> str:
         return (f"SamplingProfiler(hz={self.hz:g}, "
@@ -265,125 +237,3 @@ def collapsed_stacks(samples: Sequence[StackSample]) -> str:
             path = ";".join((head,) + stack) if stack else head
             lines.append(f"{path} {count}")
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
-
-
-# ----------------------------------------------------------------------
-# speedscope format
-# ----------------------------------------------------------------------
-
-def to_speedscope(samples: Sequence[StackSample], *,
-                  interval: float = 0.01,
-                  name: str = "repro sampling profile") -> dict:
-    """Build a speedscope ``sampled``-type document (one profile per
-    thread, weights in seconds estimated as ``count * interval``)."""
-    frame_index: dict[str, int] = {}
-    frames: list[dict[str, str]] = []
-
-    def index_of(label: str) -> int:
-        i = frame_index.get(label)
-        if i is None:
-            i = frame_index[label] = len(frames)
-            frames.append({"name": label})
-        return i
-
-    profiles = []
-    for sample in samples:
-        sample_rows: list[list[int]] = []
-        weights: list[float] = []
-        for stack in sorted(sample.stacks):
-            sample_rows.append([index_of(label) for label in stack])
-            weights.append(sample.stacks[stack] * interval)
-        profiles.append({
-            "type": "sampled",
-            "name": f"{sample.thread_name} (tid {sample.tid})",
-            "unit": "seconds",
-            "startValue": 0,
-            "endValue": round(sum(weights), 9),
-            "samples": sample_rows,
-            "weights": [round(w, 9) for w in weights],
-        })
-    return {
-        "$schema": SPEEDSCOPE_SCHEMA,
-        "name": name,
-        "shared": {"frames": frames},
-        "profiles": profiles,
-    }
-
-
-# ----------------------------------------------------------------------
-# Thicket integration: samples become profiles
-# ----------------------------------------------------------------------
-
-def _stacks_to_literal(stacks: Mapping[tuple[str, ...], int],
-                       interval: float) -> list[dict]:
-    """Fold flat stacks into the nested literal tree GraphFrame reads."""
-    root: dict[str, Any] = {"children": {}, "self": 0, "total": 0}
-
-    for stack, count in stacks.items():
-        node = root
-        node["total"] += count
-        for label in stack:
-            node = node["children"].setdefault(
-                label, {"children": {}, "self": 0, "total": 0})
-            node["total"] += count
-        node["self"] += count
-
-    def emit(children: dict) -> list[dict]:
-        out = []
-        for label in sorted(children):
-            node = children[label]
-            spec: dict[str, Any] = {
-                "frame": {"name": label, "type": "function"},
-                "metrics": {
-                    "samples": float(node["self"]),
-                    "samples (inc)": float(node["total"]),
-                    "time (est)": node["total"] * interval,
-                },
-            }
-            if node["children"]:
-                spec["children"] = emit(node["children"])
-            out.append(spec)
-        return out
-
-    return emit(root["children"])
-
-
-def samples_to_thicket(samples: Sequence[StackSample], *,
-                       interval: float = 0.01,
-                       metadata: Mapping[str, Any] | None = None):
-    """Convert per-thread samples into a :class:`repro.core.Thicket`.
-
-    One profile per sampled thread; call-path nodes per frame, with
-    ``samples`` (exclusive), ``samples (inc)``, and an estimated
-    ``time (est)`` (= inclusive samples × interval) metric.  Raises
-    :class:`repro.errors.CompositionError` when no thread has samples.
-    """
-    from ..core.thicket import Thicket
-    from ..errors import CompositionError
-    from ..graph import GraphFrame
-
-    populated = [s for s in samples if s.stacks]
-    if not populated:
-        raise CompositionError("sampling profile contains no samples")
-    gfs = []
-    for sample in populated:
-        gf = GraphFrame.from_literal(
-            _stacks_to_literal(sample.stacks, interval))
-        gf.metadata.update({
-            "sampler.tid": sample.tid,
-            "sampler.thread": sample.thread_name,
-            "sampler.samples": sample.count,
-            "sampler.interval": interval,
-        })
-        for key, value in (metadata or {}).items():
-            gf.metadata.setdefault(str(key), value)
-        gf.default_metric = "samples"
-        gfs.append(gf)
-    tk = Thicket._compose(gfs, profile_ids=[s.tid for s in populated])
-    tk.default_metric = "samples"
-    tk.provenance["sampler"] = {
-        "threads": len(populated),
-        "samples": sum(s.count for s in populated),
-        "interval": interval,
-    }
-    return tk

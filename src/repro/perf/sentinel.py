@@ -124,7 +124,7 @@ class PerfVerdict:
         lines = [
             f"perf sentinel: {head} — {self.nodes_compared} nodes compared, "
             f"{self.baseline_runs} baseline vs {self.candidate_runs} "
-            f"candidate run(s) on {self.policy.metric!r}",
+            f"candidate root span(s) on {self.policy.metric!r}",
         ]
         for row in self.regressions:
             lines.append(

@@ -3,8 +3,7 @@
 A long-lived analysis daemon caching thickets will eventually meet a
 request mix that outgrows the host.  The kernel's answer (SIGKILL) is
 not graceful; this module's answer is a watermark state machine driven
-by the same RSS reading :class:`~repro.obs.ResourceMonitor` records
-into its timelines:
+by the process's resident set size (:func:`read_rss_bytes`):
 
 ``ok``
     RSS below the soft watermark.  Full service.
@@ -21,25 +20,25 @@ into its timelines:
 
 Transitions are hysteretic (recovery requires dropping below
 ``recovery_fraction`` of the watermark) so a process hovering at a
-boundary does not flap.  The RSS reader, clock, and driving
-:class:`~repro.obs.ResourceMonitor` are all injectable, so every
-transition is deterministically testable — and chaos tests can stage
-a memory ballast by scripting the reader.
+boundary does not flap.  The RSS reader and clock are injectable, so
+every transition is deterministically testable — and chaos tests can
+stage a memory ballast by scripting the reader.
 """
 
 from __future__ import annotations
 
 import gc
+import os
+import resource
 import threading
 import time
 from typing import Callable
 
 from ..obs import counter as obs_counter
 from ..obs import gauge as obs_gauge
-from ..obs.resources import ResourceMonitor, read_rss_bytes
 
-__all__ = ["PressureGovernor", "STATE_OK", "STATE_DEGRADED",
-           "STATE_SHEDDING", "STATE_ORDER"]
+__all__ = ["PressureGovernor", "read_rss_bytes", "STATE_OK",
+           "STATE_DEGRADED", "STATE_SHEDDING", "STATE_ORDER"]
 
 STATE_OK = "ok"
 STATE_DEGRADED = "degraded"
@@ -49,6 +48,20 @@ STATE_SHEDDING = "shedding"
 STATE_ORDER = {STATE_OK: 0, STATE_DEGRADED: 1, STATE_SHEDDING: 2}
 
 _HISTORY_CAP = 256
+
+_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
+
+
+def read_rss_bytes() -> float:
+    """Current resident set size in bytes (best effort, stdlib only)."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return float(fh.read().split()[1]) * _PAGE_SIZE
+    except (OSError, ValueError, IndexError):
+        # ru_maxrss is KiB on Linux, bytes on macOS; both are close
+        # enough for a trend line on the platforms that land here.
+        return float(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                     * 1024)
 
 
 class PressureGovernor:
@@ -63,13 +76,9 @@ class PressureGovernor:
         ``fraction * watermark`` (default 0.9).
     interval:
         Background sampling period in seconds.
-    monitor:
-        Optional :class:`~repro.obs.ResourceMonitor` to drive: each
-        governor sample calls ``monitor.sample_once()`` and consumes
-        its ``proc.rss_bytes`` reading, so the pressure decisions and
-        the recorded resource timeline come from the same samples.
     rss_reader / clock:
-        Injectable seams used when no monitor is given.
+        Injectable seams (default :func:`read_rss_bytes` and
+        ``time.monotonic``).
     on_transition:
         Callback ``on_transition(old_state, new_state, rss)`` fired
         (outside the state lock) on every transition — the service
@@ -78,7 +87,6 @@ class PressureGovernor:
 
     def __init__(self, soft_limit_bytes: float, hard_limit_bytes: float, *,
                  recovery_fraction: float = 0.9, interval: float = 0.25,
-                 monitor: ResourceMonitor | None = None,
                  rss_reader: Callable[[], float] | None = None,
                  clock: Callable[[], float] = time.monotonic,
                  on_transition: Callable[[str, str, float], None]
@@ -96,7 +104,6 @@ class PressureGovernor:
         self.hard = float(hard_limit_bytes)
         self.recovery_fraction = float(recovery_fraction)
         self.interval = float(interval)
-        self.monitor = monitor
         self._rss_reader = rss_reader or read_rss_bytes
         self.clock = clock
         self.on_transition = on_transition
@@ -131,11 +138,6 @@ class PressureGovernor:
             }
 
     # -- sampling ------------------------------------------------------
-    def _read_rss(self) -> float:
-        if self.monitor is not None:
-            return self.monitor.sample_once()["proc.rss_bytes"]
-        return float(self._rss_reader())
-
     def update(self, rss: float | None = None) -> str:
         """Take one sample (or use *rss*) and apply transitions.
 
@@ -143,7 +145,7 @@ class PressureGovernor:
         machine deterministically; returns the state after the sample.
         """
         if rss is None:
-            rss = self._read_rss()
+            rss = float(self._rss_reader())
         with self._lock:
             old = self._state
             new = self._next_state(old, rss)

@@ -289,10 +289,15 @@ class TestObservabilityFlags:
 
     def test_trace_flag_after_subcommand_and_jsonl(self, marbl_dir,
                                                    tmp_path):
+        import json
+
         import repro.obs as obs
 
+        # the suffix does not pick the format: it is always Chrome JSON
         trace = tmp_path / "trace.jsonl"
         assert main(["summarize", marbl_dir, "--trace", str(trace)]) == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert "ingest.load_ensemble" in {ev["name"] for ev in events}
         roots, _ = obs.load_trace(trace)
         assert roots and roots[0].name == "ingest.load_ensemble"
 

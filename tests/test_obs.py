@@ -3,7 +3,7 @@
 Covers: span tree recording with injected deterministic clocks, the
 disabled no-op fast path and its overhead guarantee, thread safety of
 the metrics registry under a ThreadPoolExecutor hammer, exporter
-round-trips (JSONL ↔ spans, Chrome trace validity), structured
+round-trips (Chrome trace ↔ spans, Chrome trace validity), structured
 logging of the ingest pipeline, per-stage ingest timings, and the
 Thicket-on-Thicket dogfood (``to_thicket``) flowing through the
 existing stats / query / viz APIs.
@@ -204,13 +204,9 @@ class TestMetricsRegistry:
     def test_format_snapshot_handles_partial_snapshots(self):
         from repro.obs import format_snapshot
 
-        # trace files written before timelines existed lack the key
+        # a trace's snapshot may lack any of the sections
         assert "counters:" in format_snapshot({"counters": {"a": 1.0}})
         assert format_snapshot({}) == "(no metrics recorded)"
-        reg = MetricsRegistry()
-        reg.record_point("proc.rss_bytes", 0.0, 123.0)
-        text = format_snapshot(reg.snapshot())
-        assert "timelines:" in text and "proc.rss_bytes" in text
 
     def test_module_helpers_noop_when_disabled(self):
         obs.counter("x")
@@ -220,20 +216,6 @@ class TestMetricsRegistry:
 
 
 class TestExporters:
-    def test_jsonl_round_trip(self, tmp_path):
-        t = _traced_telemetry()
-        t.metrics.increment("reads", 3)
-        path = obs.write_jsonl(t, tmp_path / "trace.jsonl")
-        roots, metrics = obs.read_jsonl(path)
-        assert metrics["counters"] == {"reads": 3.0}
-        (root,) = roots
-        orig = t.finished_spans()[0]
-        assert [s.name for s in root.walk()] == [s.name for s in orig.walk()]
-        assert root.duration == pytest.approx(orig.duration)
-        assert root.children[1].cpu_time == pytest.approx(1.5)
-        assert root.attrs == {"job": "demo"}
-        assert root.children[2].attrs == {"rows": 7}
-
     def test_chrome_trace_is_valid_trace_event_json(self, tmp_path):
         t = _traced_telemetry()
         path = obs.write_chrome_trace(t, tmp_path / "trace.json")
@@ -251,23 +233,22 @@ class TestExporters:
 
     def test_chrome_trace_round_trip(self, tmp_path):
         t = _traced_telemetry()
+        t.metrics.increment("reads", 3)
+        with pytest.raises(KeyError):
+            with t.span("failing"):
+                raise KeyError("boom")
         path = obs.write_chrome_trace(t, tmp_path / "trace.json")
-        roots, _ = obs.read_chrome_trace(path)
-        (root,) = roots
+        roots, metrics = obs.read_chrome_trace(path)
+        assert metrics["counters"] == {"reads": 3.0}
+        root, failing = roots
         assert [s.name for s in root.walk()] == [
             "root", "child.a", "child.a", "child.b"]
         assert root.duration == pytest.approx(4.0)
+        assert root.attrs == {"job": "demo"}
         assert root.children[2].attrs == {"rows": 7}
         assert root.children[1].cpu_time == pytest.approx(1.5, abs=1e-5)
-
-    def test_load_trace_sniffs_both_formats(self, tmp_path):
-        t = _traced_telemetry()
-        p_chrome = obs.write_chrome_trace(t, tmp_path / "a.json")
-        p_jsonl = obs.write_jsonl(t, tmp_path / "a.jsonl")
-        for p in (p_chrome, p_jsonl):
-            roots, _ = obs.load_trace(p)
-            assert [s.name for s in roots[0].walk()] == [
-                "root", "child.a", "child.a", "child.b"]
+        assert root.error is None
+        assert failing.error == "KeyError" and failing.attrs == {}
 
     def test_summarize_spans_table(self):
         t = _traced_telemetry()
@@ -461,31 +442,27 @@ class TestToThicket:
         assert "main" in tree and "kernel" in tree
 
     def test_to_thicket_from_both_file_formats(self, tmp_path):
+        # the Chrome trace is the one trace file format
         t = _traced_telemetry()
         t.metrics.increment("reads", 1)
-        for fname in ("t.json", "t.jsonl"):
-            path = tmp_path / fname
-            if fname.endswith(".jsonl"):
-                obs.write_jsonl(t, path)
-            else:
-                obs.write_chrome_trace(t, path)
-            tk = obs.to_thicket(path)
-            assert len(tk.profile) == 1
-            names = {n.frame.name for n in tk.graph.traverse()}
-            assert names == {"root", "child.a", "child.b"}
-            # two child.a spans aggregate into one node with calls=2
-            rows = {t_[0].frame.name: i
-                    for i, t_ in enumerate(tk.dataframe.index.values)}
-            assert tk.dataframe.column("calls")[rows["child.a"]] == 2.0
-            assert tk.dataframe.column("time (inc)")[
-                rows["child.a"]] == pytest.approx(3.0)
-            assert tk.provenance["trace_metrics"]["counters"] == {
-                "reads": 1.0}
+        path = obs.write_chrome_trace(t, tmp_path / "t.json")
+        tk = obs.to_thicket(path)
+        assert len(tk.profile) == 1
+        names = {n.frame.name for n in tk.graph.traverse()}
+        assert names == {"root", "child.a", "child.b"}
+        # two child.a spans aggregate into one node with calls=2
+        rows = {t_[0].frame.name: i
+                for i, t_ in enumerate(tk.dataframe.index.values)}
+        assert tk.dataframe.column("calls")[rows["child.a"]] == 2.0
+        assert tk.dataframe.column("time (inc)")[
+            rows["child.a"]] == pytest.approx(3.0)
+        assert tk.provenance["trace_metrics"]["counters"] == {
+            "reads": 1.0}
 
     def test_empty_trace_raises_composition_error(self, tmp_path):
         from repro.errors import CompositionError
 
-        p = tmp_path / "empty.jsonl"
+        p = tmp_path / "empty.json"
         p.write_text("")
         with pytest.raises(CompositionError):
             obs.to_thicket(p)

@@ -2,12 +2,11 @@
 
 Covers: the sampling profiler (deterministic single samples, exporter
 output, behaviour under a thread storm combined with a supervised
-multiprocess ingest), the resource monitor's timelines with injected
-clocks, the append-only checksummed run store (round-trip, tamper
-detection, retention), the regression sentinel's verdict logic on
-synthetic span trees with scripted clocks, and the ``repro perf``
-CLI loop on traced ``repro ingest`` runs, including the staged
-``inject_slowdown`` regression that must exit with code 6.
+multiprocess ingest), the append-only checksummed run store
+(round-trip, tamper detection, retention), the regression sentinel's
+verdict logic on synthetic span trees with scripted clocks, and the
+``repro perf`` CLI loop on traced ``repro ingest`` runs, including the
+staged ``inject_slowdown`` regression that must exit with code 6.
 """
 
 from __future__ import annotations
@@ -20,14 +19,7 @@ import pytest
 
 import repro.obs as obs
 from repro.errors import CorruptStoreError, PersistenceError
-from repro.obs import (
-    ResourceMonitor,
-    SamplingProfiler,
-    Telemetry,
-    collapsed_stacks,
-    samples_to_thicket,
-    to_speedscope,
-)
+from repro.obs import SamplingProfiler, Telemetry, collapsed_stacks
 from repro.obs.sampler import StackSample
 from repro.perf import (
     DEFAULT_POLICY,
@@ -150,31 +142,8 @@ class TestSampler:
         ]
         assert collapsed_stacks([]) == ""
 
-    def test_speedscope_round_trip(self):
-        """The samples come back out as speedscope frames, sample rows
-        and count x interval weights."""
-        s = StackSample(tid=7, thread_name="w0")
-        s.add(("m.py:top", "m.py:inner"))
-        s.add(("m.py:top", "m.py:inner"))
-        s.add(("m.py:top",))
-        doc = to_speedscope([s], interval=0.01)
-        assert doc["$schema"].endswith("file-format-schema.json")
-        # one shared frame table, indexed by the sample rows
-        assert doc["shared"]["frames"] == [
-            {"name": "m.py:top"}, {"name": "m.py:inner"}]
-        (prof,) = doc["profiles"]
-        assert prof["type"] == "sampled"
-        assert prof["name"] == "w0 (tid 7)"
-        assert prof["unit"] == "seconds"
-        assert prof["samples"] == [[0], [0, 1]]
-        # weights are count x interval; the profile spans their sum
-        assert prof["weights"] == [pytest.approx(1 * 0.01),
-                                   pytest.approx(2 * 0.01)]
-        assert prof["endValue"] == pytest.approx(3 * 0.01)
-        json.dumps(doc, sort_keys=True)  # JSON-ready
-
     def test_write_exporters_and_read_back(self, tmp_path):
-        """The files on disk hold exactly what the exporters return."""
+        """The file on disk holds exactly what the exporter returns."""
         stop = threading.Event()
         worker = threading.Thread(target=stop.wait, args=(10.0,))
         worker.start()
@@ -185,7 +154,6 @@ class TestSampler:
             stop.set()
             worker.join()
         collapsed_path = p.write_collapsed(tmp_path / "prof.collapsed")
-        speedscope_path = p.write_speedscope(tmp_path / "prof.json")
         text = collapsed_path.read_text()
         assert text == p.collapsed()
         lines = text.splitlines()
@@ -193,20 +161,6 @@ class TestSampler:
         for line in lines:
             path, _, count = line.rpartition(" ")
             assert path.startswith("thread (") and count.isdigit()
-        doc = json.loads(speedscope_path.read_text())
-        assert doc == p.speedscope()
-        assert sum(len(prof["samples"]) for prof in doc["profiles"]) \
-            == len(lines)
-
-    def test_samples_to_thicket(self):
-        s = StackSample(tid=11, thread_name="main")
-        s.add(("m.py:top", "m.py:inner"))
-        s.add(("m.py:top",))
-        tk = samples_to_thicket([s], interval=0.01)
-        names = {n.frame.name for n in tk.graph}
-        assert "m.py:top" in names and "m.py:inner" in names
-        assert "samples" in tk.dataframe.columns
-        assert tk.provenance["sampler"]["threads"] == 1
 
     def test_sampler_under_thread_storm_and_supervised_ingest(
             self, tmp_path):
@@ -249,49 +203,6 @@ class TestSampler:
         for stacks in (s.stacks for s in profiler.samples()):
             for stack in stacks:
                 assert len(stack) <= 200  # depth cap respected
-
-
-# ----------------------------------------------------------------------
-# resource monitor
-# ----------------------------------------------------------------------
-
-class TestResourceMonitor:
-    def test_sample_once_records_all_gauges(self):
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        wall, cpu = FakeClock(), FakeClock()
-        mon = ResourceMonitor(interval=0.05, registry=reg, clock=wall,
-                              cpu_clock=cpu, rss_reader=lambda: 1e6)
-        values = mon.sample_once()
-        assert values["proc.rss_bytes"] == 1e6
-        assert values["proc.cpu_percent"] == 0.0  # no previous sample
-        wall.tick(1.0)
-        cpu.tick(0.5)
-        values = mon.sample_once()
-        assert values["proc.cpu_percent"] == pytest.approx(50.0)
-        snap = reg.snapshot()
-        for name in ResourceMonitor.METRICS:
-            assert snap["timelines"][name]["count"] == 2
-            assert snap["gauges"][name] == values[name]
-        assert reg.timeline_points("proc.rss_bytes") == [
-            (100.0, 1e6), (101.0, 1e6)]
-
-    def test_start_stop_takes_boundary_samples(self):
-        from repro.obs import MetricsRegistry
-
-        reg = MetricsRegistry()
-        mon = ResourceMonitor(interval=5.0, registry=reg)
-        with mon:
-            assert mon.running
-        assert not mon.running
-        # immediate sample on start + final sample on stop, even though
-        # the 5 s interval never elapsed
-        assert mon.n_samples >= 2
-
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError):
-            ResourceMonitor(interval=0)
 
 
 # ----------------------------------------------------------------------
@@ -623,6 +534,44 @@ class TestPerfWorkflow:
                 with pytest.raises(SystemExit, match=message):
                     main(argv)
 
+    def test_cli_trace_without_spans_exits_1(self, tmp_path):
+        """A trace with no completed spans ends `repro obs`, `perf
+        record` and `perf check` with one line and exit 1, and `perf
+        record` stores nothing."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.cli import main
+
+        hist = tmp_path / "hist"
+        PerfStore(hist).record([_spans_run([("work.a", 1.0)])])
+        no_events = tmp_path / "no-events.json"
+        no_events.write_text('{"traceEvents": []}')
+        zero_bytes = tmp_path / "zero-bytes.json"
+        zero_bytes.write_text("")
+        for path in (str(no_events), str(zero_bytes)):
+            for argv in (["obs", path],
+                         ["perf", "record", "--store", str(hist), path],
+                         ["perf", "check", "--store", str(hist), path]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                # a string exit code: Python prints it and exits 1
+                assert exc.value.code == f"{path}: no completed spans"
+        assert [i.run_id for i in PerfStore(hist).runs()] == ["run-000001"]
+
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "perf", "record", "--store",
+             str(hist), str(no_events)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr == f"{no_events}: no completed spans\n"
+        assert len(PerfStore(hist).runs()) == 1
+
     def test_cli_compare_stored_runs(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -651,6 +600,25 @@ class TestPerfWorkflow:
         assert out.exists()
         err = capsys.readouterr().err
         assert "profile written to" in err
+
+    def test_cli_profile_out_is_collapsed_whatever_the_suffix(
+            self, tmp_path, capsys):
+        import re
+
+        from repro.cli import main
+        from repro.workloads import RAJA_CAMPAIGN, write_raja_campaign
+
+        profile_dir = tmp_path / "profiles"
+        write_raja_campaign(profile_dir, campaign=RAJA_CAMPAIGN[:1],
+                            scale=0.05)
+        out = tmp_path / "prof.json"
+        rc = main(["--profile", "1000", "--profile-out", str(out),
+                   "summarize", str(profile_dir)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines
+        assert all(re.fullmatch(r".+ [0-9]+", line) for line in lines)
+        assert "flamegraph.pl" in capsys.readouterr().err
 
     def test_sampler_overhead_fraction_under_10_percent(self, tmp_path):
         """At 100 Hz the sampler's own work must stay a small fraction
