@@ -11,8 +11,12 @@ Entry points
     The client itself — ``with ReproClient(url) as c: c.query(...)``.
 :class:`ClientPolicy` / :data:`DEFAULT_CLIENT_POLICY`
     Frozen dataclass of every resilience knob.
-:class:`RetryBudget`
-    The token bucket bounding retry amplification.
+
+Retry amplification is bounded by a
+:class:`~repro.resilience.TokenBucket`, the same bucket the server's
+admission controller sheds with; ``ReproClient.to_dict()["budget"]``
+reports its spend.  The package imports nothing from
+:mod:`repro.serve`.
 
 The server-side halves of the contract live in
 :mod:`repro.serve.idempotency` (replay cache) and
@@ -22,7 +26,6 @@ header names are :data:`~repro.client.client.DEADLINE_HEADER`,
 :data:`~repro.client.client.REQUEST_ID_HEADER`.
 """
 
-from .budget import RetryBudget
 from .client import (
     DEADLINE_HEADER,
     IDEMPOTENCY_HEADER,
@@ -37,7 +40,6 @@ __all__ = [
     "ClientResponse",
     "ClientPolicy",
     "DEFAULT_CLIENT_POLICY",
-    "RetryBudget",
     "RETRYABLE_STATUSES",
     "DEADLINE_HEADER",
     "IDEMPOTENCY_HEADER",

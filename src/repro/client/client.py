@@ -4,16 +4,16 @@ A typed wrapper over stdlib :mod:`http.client` that owns every
 client-side half of the end-to-end resilience contract:
 
 * **Deadlines** — each logical call gets a wall-clock budget
-  (``deadline=`` or ``ClientPolicy.call_timeout``, further capped by
-  the whole-session ``session_deadline``).  The *remaining* budget is
-  stamped on every attempt as ``X-Repro-Deadline-Ms`` — a duration,
-  not a wall time, so clock skew between machines is irrelevant — and
-  the server refuses already-expired work before queueing it.
+  (``deadline=`` or ``ClientPolicy.call_timeout``).  The *remaining*
+  budget is stamped on every attempt as ``X-Repro-Deadline-Ms`` — a
+  duration, not a wall time, so clock skew between machines is
+  irrelevant — and the server refuses already-expired work before
+  queueing it.
 * **Retries with a budget** — transient failures (connection drops,
   429/5xx envelopes) are retried with jittered exponential backoff,
   honoring the server's ``Retry-After``; every retry must withdraw a
-  token from the client-wide :class:`~repro.client.RetryBudget`, so a
-  sustained outage degrades into fast typed
+  token from the client-wide :class:`~repro.resilience.TokenBucket`
+  retry budget, so a sustained outage degrades into fast typed
   :class:`~repro.errors.RetryBudgetExhaustedError` instead of a retry
   storm.
 * **Idempotency keys** — unsafe methods are auto-stamped with
@@ -60,8 +60,7 @@ from ..errors import (
 from ..obs import counter as obs_counter
 from ..obs import observe as obs_observe
 from ..obs import span as obs_span
-from ..resilience import CircuitBreaker
-from .budget import RetryBudget
+from ..resilience import CircuitBreaker, TokenBucket
 from .policy import DEFAULT_CLIENT_POLICY, RETRYABLE_STATUSES, ClientPolicy
 
 __all__ = ["ReproClient", "ClientResponse",
@@ -75,6 +74,9 @@ IDEMPOTENCY_HEADER = "X-Repro-Idempotency-Key"
 REQUEST_ID_HEADER = "X-Repro-Request-Id"
 
 _LATENCY_WINDOW = 128  # GET latencies kept for the p95 hedge delay
+_HEDGE_MIN_SAMPLES = 8  # GET latencies needed before the p95 is used
+_HEDGE_FALLBACK_DELAY = 0.1  # cold-start hedge delay until then
+_MIN_ATTEMPT_BUDGET = 0.001  # seconds of deadline an attempt needs
 
 
 @dataclass(frozen=True)
@@ -145,16 +147,18 @@ class ReproClient:
         self._sleep = sleep if sleep is not None else self._closed.wait
         self._key_factory = key_factory or (lambda: uuid.uuid4().hex)
         self._connect = connection_factory or _default_connection_factory
-        self.budget = RetryBudget(self.policy.retry_budget_rate,
-                                  self.policy.retry_budget_capacity,
-                                  clock=clock)
+        self._budget = TokenBucket(self.policy.retry_budget_rate,
+                                   burst=self.policy.retry_budget_capacity,
+                                   clock=clock)
         self.breaker = CircuitBreaker(self.policy.breaker_threshold,
                                       self.policy.breaker_cooldown,
                                       clock=clock)
         self._host_key = f"{self.host}:{self.port}"
-        self._session_start = clock()
         self._lat_lock = threading.Lock()
         self._latencies: list[float] = []
+        self._budget_lock = threading.Lock()
+        self._spent = 0
+        self._denied = 0
         self.retries = 0
         self.hedges = 0
         self.hedge_wins = 0
@@ -170,24 +174,16 @@ class ReproClient:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    # -- deadline arithmetic -------------------------------------------
-    def _give_up_at(self, deadline: float | None) -> float:
-        """Absolute monotonic instant this call must be finished by."""
-        now = self.clock()
-        budget = self.policy.call_timeout if deadline is None \
-            else float(deadline)
-        give_up = now + budget
-        if self.policy.session_deadline is not None:
-            give_up = min(give_up, self._session_start
-                          + self.policy.session_deadline)
-        return give_up
-
-    def session_remaining(self) -> float | None:
-        """Seconds left of the whole-session deadline (None: unlimited)."""
-        if self.policy.session_deadline is None:
-            return None
-        return max(0.0, self._session_start
-                   + self.policy.session_deadline - self.clock())
+    # -- retry budget ---------------------------------------------------
+    def _spend(self) -> bool:
+        """Withdraw one retry-budget token for a retry or hedge."""
+        ok = self._budget.try_acquire() == 0.0
+        with self._budget_lock:
+            if ok:
+                self._spent += 1
+            else:
+                self._denied += 1
+        return ok
 
     # -- hedging --------------------------------------------------------
     def _record_latency(self, seconds: float) -> None:
@@ -203,8 +199,8 @@ class ReproClient:
             return self.policy.hedge_delay
         with self._lat_lock:
             lat = sorted(self._latencies)
-        if len(lat) < self.policy.hedge_min_samples:
-            return self.policy.hedge_fallback_delay
+        if len(lat) < _HEDGE_MIN_SAMPLES:
+            return _HEDGE_FALLBACK_DELAY
         return lat[min(len(lat) - 1, int(0.95 * len(lat)))]
 
     # -- one attempt ----------------------------------------------------
@@ -225,7 +221,7 @@ class ReproClient:
                  ) -> ClientResponse:
         """One HTTP exchange; raises typed Transport/ServerRejected."""
         remaining = give_up - self.clock()
-        if remaining < self.policy.min_attempt_budget:
+        if remaining < _MIN_ATTEMPT_BUDGET:
             raise ClientDeadlineError(
                 f"no deadline budget left for an attempt of {target} "
                 f"({remaining:.3f}s remaining)", source=target)
@@ -332,7 +328,7 @@ class ReproClient:
                                             max(0.0, give_up - self.clock())))
         except queue.Empty:
             first = None
-        if first is None and self.budget.try_spend():
+        if first is None and self._spend():
             # the primary is past the hedge delay: launch the backup
             obs_counter("client.hedges")
             self.hedges += 1
@@ -439,7 +435,8 @@ class ReproClient:
         data = json.dumps(body, sort_keys=True).encode("utf-8") \
             if body is not None else None
         target = f"{method} {self._host_key}{path}"
-        give_up = self._give_up_at(deadline)
+        give_up = self.clock() + (self.policy.call_timeout
+                                  if deadline is None else float(deadline))
         attempt = 0
         with obs_span("client.request"):
             obs_counter("client.requests")
@@ -464,11 +461,11 @@ class ReproClient:
                     attempt += 1
                     if attempt >= self.policy.max_attempts:
                         raise
-                    if not self.budget.try_spend():
+                    if not self._spend():
                         obs_counter("client.budget_denials")
                         raise RetryBudgetExhaustedError(
                             f"retry budget exhausted after "
-                            f"{self.budget.spent} retries "
+                            f"{self._spent} retries "
                             f"(capacity "
                             f"{self.policy.retry_budget_capacity:g}, "
                             f"refill "
@@ -479,8 +476,7 @@ class ReproClient:
                             ) from exc
                     delay = self.policy.retry_delay(attempt - 1,
                                                     self._rng, retry_after)
-                    if self.clock() + delay \
-                            + self.policy.min_attempt_budget > give_up:
+                    if self.clock() + delay + _MIN_ATTEMPT_BUDGET > give_up:
                         raise ClientDeadlineError(
                             f"deadline leaves no room to retry {target} "
                             f"(needed {delay:.3f}s backoff, "
@@ -570,7 +566,13 @@ class ReproClient:
         """Diagnostics snapshot: budget, breaker, hedge accounting."""
         return {
             "host": self._host_key,
-            "budget": self.budget.to_dict(),
+            "budget": {
+                "rate": self._budget.rate,
+                "capacity": self._budget.burst,
+                "spent": self._spent,
+                "denied": self._denied,
+                "remaining": round(self._budget.available, 6),
+            },
             "breaker_state": self.breaker.state(self._host_key),
             "retries": self.retries,
             "hedges": self.hedges,

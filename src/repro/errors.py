@@ -37,7 +37,7 @@ Hierarchy::
         ├── TransportError             connection refused / reset / torn
         ├── ServerRejectedError        the server answered with an error
         ├── RetryBudgetExhaustedError  the retry token bucket ran dry
-        ├── ClientDeadlineError        the call/session deadline expired
+        ├── ClientDeadlineError        the call deadline expired
         └── ClientCircuitOpenError     per-host breaker fast-fail
                                        (also a CircuitOpenError)
 
@@ -383,11 +383,11 @@ class RetryBudgetExhaustedError(ClientError):
 
 
 class ClientDeadlineError(ClientError):
-    """The per-call or whole-session deadline expired client-side.
+    """The per-call deadline expired client-side.
 
     Raised before wasting a network round-trip the budget can no longer
-    pay for: either the deadline expired between retries, or the
-    remaining budget is smaller than ``ClientPolicy.min_attempt_budget``.
+    pay for: either the deadline expired between retries, or less than
+    a millisecond of it remains for the next attempt.
     ``__cause__`` carries the last attempt's failure when one happened.
     """
 

@@ -73,7 +73,6 @@ from ..obs import counter as obs_counter
 from ..obs import span as obs_span
 from ..readers.caliper import _assemble, _check
 from ..resilience import (
-    SERIAL_POLICY,
     ResiliencePolicy,
     SignalGuard,
     SupervisedExecutor,
@@ -510,7 +509,7 @@ def load_ensemble(sources: Iterable[Any] | Any,
             f"on_error must be one of {ERROR_POLICIES}, got {on_error!r}")
     if sleep is None:
         sleep = time.sleep
-    eff = policy if policy is not None else SERIAL_POLICY
+    eff = policy if policy is not None else ResiliencePolicy()
     rng = random.Random(0)
     if isinstance(sources, (str, Path, GraphFrame, Mapping)):
         sources = [sources]

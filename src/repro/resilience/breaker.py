@@ -115,11 +115,6 @@ class CircuitBreaker:
         with self._lock:
             return sum(ks.trips for ks in self._keys.values())
 
-    def tripped_keys(self) -> list[str]:
-        """Keys whose breaker has tripped at least once, sorted."""
-        with self._lock:
-            return sorted(k for k, ks in self._keys.items() if ks.trips)
-
     def retry_after(self, key: str) -> float:
         """Seconds until an open *key* would admit its half-open probe
         (0.0 when the key is closed or already probe-eligible)."""

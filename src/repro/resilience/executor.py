@@ -62,6 +62,9 @@ __all__ = ["SupervisedExecutor", "TaskOutcome", "call_with_retries",
 # Supervisor poll tick: bounds how late a timeout/heartbeat check can
 # fire; small enough that sub-second task_timeouts are honoured.
 _TICK = 0.02
+# How often each worker refreshes its shared liveness stamp; a worker
+# silent for ``policy.heartbeat_grace`` seconds is declared hung.
+_HEARTBEAT_INTERVAL = 0.05
 
 # Set in worker processes; lets task functions (e.g. fault injectors)
 # distinguish "really crash the process" from "simulate in-process".
@@ -333,8 +336,7 @@ class SupervisedExecutor:
         parent_conn, child_conn = ctx.Pipe()
         proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, fn, heartbeat,
-                  self.policy.heartbeat_interval),
+            args=(child_conn, fn, heartbeat, _HEARTBEAT_INTERVAL),
             daemon=True, name="repro-worker")
         proc.start()
         child_conn.close()
@@ -454,9 +456,8 @@ class SupervisedExecutor:
                                           seconds=seconds)
                 continue
             error = _decode_error(errinfo)
-            self._retry_or_fail(getattr(error, "transient", False), pending,
-                                done, index, attempt, key, "error", error,
-                                seconds)
+            self._retry_or_fail(pending, done, index, attempt, key,
+                                "error", error, seconds)
 
     def _sweep(self, pending, workers, done, keys, started, now) -> None:
         """Liveness pass: kill overdue and dead/stopped-beating workers."""
@@ -504,14 +505,17 @@ class SupervisedExecutor:
             error = WorkerCrashError(
                 f"worker executing task for {key} died or stopped "
                 f"heartbeating (attempt {attempt + 1})", source=key)
-        self._retry_or_fail(self.policy.retry_timeouts, pending, done,
-                            index, attempt, key, status, error, seconds)
+        self._retry_or_fail(pending, done, index, attempt, key, status,
+                            error, seconds)
 
-    def _retry_or_fail(self, retryable: bool, pending, done, index: int,
-                       attempt: int, key: str, status: str,
-                       error: ReproError, seconds: float) -> None:
-        """Re-queue a failed dispatch after its backoff, or fail it."""
-        if retryable and attempt < self.policy.max_retries:
+    def _retry_or_fail(self, pending, done, index: int, attempt: int,
+                       key: str, status: str, error: ReproError,
+                       seconds: float) -> None:
+        """Re-queue a ``transient`` task error after its backoff, or
+        fail the dispatch (timeout and crash errors are never
+        transient)."""
+        if getattr(error, "transient", False) \
+                and attempt < self.policy.max_retries:
             obs_counter("exec.retries")
             delay = self.policy.delay_for(attempt, self.rng)
             pending.append((self.clock() + delay, index, attempt + 1))

@@ -7,16 +7,17 @@ arguments.  The policy says how wide to fan out (``jobs``), how long a
 single task may run (``task_timeout``), how failures are retried
 (``max_retries``/``backoff``/``backoff_jitter``), when a failing
 source trips its circuit breaker (``breaker_threshold``/
-``breaker_cooldown``), and how much wall clock the whole run may spend
-(``deadline``).
+``breaker_cooldown``), how much wall clock the whole run may spend
+(``deadline``), and when a silent worker counts as hung
+(``heartbeat_grace``).  Timeouts and worker crashes are always
+quarantined, never retried.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
-__all__ = ["ResiliencePolicy", "SERIAL_POLICY", "backoff_delay"]
+__all__ = ["ResiliencePolicy", "backoff_delay"]
 
 
 def backoff_delay(backoff: float, jitter: float, attempt: int,
@@ -49,9 +50,8 @@ class ResiliencePolicy:
     max_retries:
         Bounded retry budget for *transient* task failures (I/O
         hiccups flagged ``transient`` by the task).  Timeouts and
-        crashes are quarantined, not retried, unless
-        ``retry_timeouts`` is set: a deterministic hang would burn the
-        whole deadline re-hanging.
+        crashes are quarantined, not retried: a deterministic hang
+        would burn the whole deadline re-hanging.
     backoff:
         Base delay in seconds for jittered exponential backoff between
         retries (delay = ``backoff * 2**attempt * (1 + jitter*U[0,1))``).
@@ -71,15 +71,9 @@ class ResiliencePolicy:
         exhausted, remaining tasks are quarantined with
         :class:`~repro.errors.DeadlineExceededError`.  ``None``
         disables the run deadline.
-    heartbeat_interval:
-        How often (seconds) each worker refreshes its shared liveness
-        stamp.
     heartbeat_grace:
         Seconds of heartbeat staleness after which a busy worker is
         declared hung and killed even before ``task_timeout``.
-    retry_timeouts:
-        Also spend the retry budget on timeouts and worker crashes
-        (off by default; see ``max_retries``).
     """
 
     jobs: int = 1
@@ -90,9 +84,7 @@ class ResiliencePolicy:
     breaker_threshold: int = 5
     breaker_cooldown: float = 30.0
     deadline: float | None = None
-    heartbeat_interval: float = 0.05
     heartbeat_grace: float = 10.0
-    retry_timeouts: bool = False
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -113,13 +105,10 @@ class ResiliencePolicy:
             raise ValueError(
                 f"breaker_cooldown must be >= 0, "
                 f"got {self.breaker_cooldown}")
-        for name in ("task_timeout", "deadline"):
+        for name in ("task_timeout", "deadline", "heartbeat_grace"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.heartbeat_interval <= 0 or self.heartbeat_grace <= 0:
-            raise ValueError("heartbeat_interval and heartbeat_grace "
-                             "must be positive")
 
     @property
     def supervised(self) -> bool:
@@ -135,11 +124,3 @@ class ResiliencePolicy:
         """:func:`backoff_delay` with this policy's knobs."""
         return backoff_delay(self.backoff, self.backoff_jitter, attempt,
                              rng)
-
-    def replace(self, **changes) -> "ResiliencePolicy":
-        """A copy of this policy with *changes* applied."""
-        return dataclasses.replace(self, **changes)
-
-
-# The do-nothing policy: inline execution, the pre-resilience defaults.
-SERIAL_POLICY = ResiliencePolicy()

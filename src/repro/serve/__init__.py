@@ -36,7 +36,7 @@ core (fully testable without sockets);
 
 from __future__ import annotations
 
-from .admission import AdmissionController, Ticket, TokenBucket
+from .admission import AdmissionController, Ticket
 from .http import ReproServer, make_handler
 from .idempotency import IdempotencyCache
 from .pressure import (
@@ -50,7 +50,7 @@ from .service import AnalysisService, error_payload
 from .workers import WorkerPool, WorkItem
 
 __all__ = [
-    "AdmissionController", "TokenBucket", "Ticket",
+    "AdmissionController", "Ticket",
     "WorkerPool", "WorkItem",
     "PressureGovernor", "STATE_OK", "STATE_DEGRADED", "STATE_SHEDDING",
     "STATE_ORDER",

@@ -12,8 +12,9 @@ endpoint, evaluated in order:
    keep failing (bad queries, timeouts) trips *its own* breaker and
    gets fast 429s for the cooldown, without starving other callers.
 2. **Token-bucket rate limiter** — a global requests-per-second cap
-   with a burst allowance; an empty bucket sheds with the exact
-   ``Retry-After`` at which the next token arrives.
+   with a burst allowance (:class:`~repro.resilience.TokenBucket`); an
+   empty bucket sheds with the exact ``Retry-After`` at which the next
+   token arrives.  ``rate=0`` builds no bucket: no rate limit.
 3. **Concurrency semaphore** — bounds total in-flight requests
    (running + queued).  Exhaustion means the bounded work queue is
    full; shedding here is what keeps queueing delay bounded.
@@ -32,47 +33,9 @@ from typing import Callable
 
 from ..errors import OverloadedError
 from ..obs import counter as obs_counter
-from ..resilience import CircuitBreaker
+from ..resilience import CircuitBreaker, TokenBucket
 
-__all__ = ["TokenBucket", "AdmissionController", "Ticket"]
-
-
-class TokenBucket:
-    """Thread-safe token bucket: *rate* tokens/second, *burst* capacity.
-
-    ``try_acquire`` never blocks: it either consumes a token and
-    returns ``0.0``, or returns the (positive) number of seconds until
-    one will be available — which becomes the shed's ``Retry-After``.
-    A ``rate`` of ``0`` disables the limiter (always admits).
-    """
-
-    def __init__(self, rate: float, burst: float | None = None,
-                 clock: Callable[[], float] = time.monotonic):
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else max(1.0, rate)
-        if self.rate > 0 and self.burst < 1:
-            raise ValueError(f"burst must be >= 1, got {self.burst}")
-        self.clock = clock
-        self._tokens = self.burst
-        self._stamp = clock()
-        self._lock = threading.Lock()
-
-    def try_acquire(self, tokens: float = 1.0) -> float:
-        """Consume *tokens* if available; 0.0 on success, else the
-        seconds until the deficit refills."""
-        if self.rate == 0:
-            return 0.0
-        with self._lock:
-            now = self.clock()
-            self._tokens = min(self.burst,
-                               self._tokens + (now - self._stamp) * self.rate)
-            self._stamp = now
-            if self._tokens >= tokens:
-                self._tokens -= tokens
-                return 0.0
-            return (tokens - self._tokens) / self.rate
+__all__ = ["AdmissionController", "Ticket"]
 
 
 class Ticket:
@@ -133,7 +96,8 @@ class AdmissionController:
                 f"max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
         self.clock = clock
-        self.bucket = TokenBucket(rate, burst, clock=clock)
+        self.bucket = TokenBucket(rate, burst, clock=clock) if rate \
+            else None
         self.breaker = CircuitBreaker(
             threshold=breaker_threshold, cooldown=breaker_cooldown,
             clock=clock,
@@ -162,7 +126,7 @@ class AdmissionController:
             raise OverloadedError(
                 f"circuit breaker open for client {client!r}",
                 reason="circuit_open", retry_after=retry, source=client)
-        wait = self.bucket.try_acquire()
+        wait = 0.0 if self.bucket is None else self.bucket.try_acquire()
         if wait > 0.0:
             obs_counter("serve.shed.rate_limited")
             raise OverloadedError(

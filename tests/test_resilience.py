@@ -10,6 +10,7 @@ SIGINT/SIGTERM signal-window guard around checkpoint journals, and a
 corrupt payloads.
 """
 
+import dataclasses
 import json
 import os
 import random
@@ -34,7 +35,6 @@ from repro.resilience import (
     CLOSED,
     HALF_OPEN,
     OPEN,
-    SERIAL_POLICY,
     CircuitBreaker,
     ResiliencePolicy,
     SignalGuard,
@@ -112,8 +112,7 @@ def _flaky_task(counter_path):
 class TestResiliencePolicy:
     def test_defaults_are_serial(self):
         assert not ResiliencePolicy().supervised
-        assert not SERIAL_POLICY.supervised
-        assert SERIAL_POLICY.jobs == 1
+        assert ResiliencePolicy().jobs == 1
 
     @pytest.mark.parametrize("kwargs", [
         {"jobs": 2},
@@ -132,8 +131,8 @@ class TestResiliencePolicy:
         {"breaker_threshold": -1},
         {"breaker_cooldown": -1.0},
         {"deadline": 0.0},
-        {"heartbeat_interval": 0.0},
         {"heartbeat_grace": 0.0},
+        {"backoff_jitter": 1.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -157,9 +156,13 @@ class TestResiliencePolicy:
             assert base <= delay <= base * 1.5
 
     def test_replace(self):
-        pol = ResiliencePolicy().replace(jobs=4, task_timeout=2.0)
+        # a copy is validated like a fresh policy
+        pol = dataclasses.replace(ResiliencePolicy(), jobs=4,
+                                  task_timeout=2.0)
         assert (pol.jobs, pol.task_timeout) == (4, 2.0)
         assert pol.supervised
+        with pytest.raises(ValueError):
+            dataclasses.replace(pol, jobs=0)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +179,6 @@ class TestCircuitBreaker:
         assert br.state("k") == OPEN
         assert not br.allow("k")
         assert br.trips == 1
-        assert br.tripped_keys() == ["k"]
 
     def test_success_resets_consecutive_count(self):
         br = CircuitBreaker(threshold=3, clock=FakeClock())
@@ -376,8 +378,7 @@ class TestPoolExecutor:
 
     def test_heartbeat_stale_worker_killed(self):
         ex = SupervisedExecutor(
-            ResiliencePolicy(jobs=2, heartbeat_interval=0.02,
-                             heartbeat_grace=0.3))
+            ResiliencePolicy(jobs=2, heartbeat_grace=0.3))
         t0 = time.monotonic()
         [outcome] = ex.map(_stop_heartbeat_task, [1])
         assert time.monotonic() - t0 < 10.0
@@ -783,7 +784,7 @@ class TestCircuitBreakerConcurrency:
         for t in threads:
             t.join(timeout=30)
         assert breaker.trips >= 0              # no deadlock, no torn dict
-        assert set(breaker.tripped_keys()) <= set(keys)
+        assert not any(t.is_alive() for t in threads)
 
     def test_retry_after_counts_down_with_cooldown(self):
         clock_value = [0.0]

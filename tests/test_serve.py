@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import signal
 import socket
@@ -36,6 +37,7 @@ from repro.errors import (
     RequestTimeoutError,
 )
 from repro.readers import read_cali_dict
+from repro.resilience import TokenBucket
 from repro.serve import (
     AdmissionController,
     AnalysisService,
@@ -44,7 +46,6 @@ from repro.serve import (
     STATE_DEGRADED,
     STATE_OK,
     STATE_SHEDDING,
-    TokenBucket,
     WorkerPool,
     error_payload,
 )
@@ -97,7 +98,7 @@ def service(store_dir):
 
 
 # ----------------------------------------------------------------------
-# token bucket
+# token bucket (repro.resilience: the rate limiter and the retry budget)
 # ----------------------------------------------------------------------
 
 class TestTokenBucket:
@@ -116,15 +117,34 @@ class TestTokenBucket:
         clock.advance(0.1)
         assert bucket.try_acquire() == 0.0
 
-    def test_rate_zero_always_admits(self):
-        bucket = TokenBucket(rate=0.0)
-        assert all(bucket.try_acquire() == 0.0 for _ in range(1000))
+    def test_rate_zero_never_refills(self):
+        clock = FakeClock()
+        bucket = TokenBucket(rate=0.0, burst=3, clock=clock)
+        assert [bucket.try_acquire() for _ in range(3)] == [0.0] * 3
+        clock.advance(1e6)
+        assert bucket.try_acquire() == math.inf
+        assert bucket.available == 0.0
+
+    def test_available_does_not_consume(self):
+        clock = FakeClock()
+        bucket = TokenBucket(rate=2.0, burst=4, clock=clock)
+        assert bucket.available == bucket.available == 4.0
+        bucket.try_acquire()
+        assert bucket.available == 3.0
+        clock.advance(0.25)
+        assert bucket.available == pytest.approx(3.5)
+        assert [bucket.try_acquire() for _ in range(3)] == [0.0] * 3
+        assert bucket.available == pytest.approx(0.5)
+        clock.advance(1e6)  # refill stops at the burst
+        assert bucket.available == 4.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TokenBucket(rate=-1.0)
         with pytest.raises(ValueError):
             TokenBucket(rate=5.0, burst=0.5)
+        with pytest.raises(ValueError):
+            TokenBucket(rate=0.0, burst=0.5)
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +172,13 @@ class TestAdmissionController:
         t.release()
         assert ctrl.inflight == 0
         ctrl.admit("a")  # the slot really is free again
+
+    def test_rate_zero_never_sheds_rate_limited(self):
+        ctrl = AdmissionController(max_inflight=8, rate=0.0, burst=1,
+                                   clock=FakeClock())
+        for _ in range(1000):
+            ctrl.admit("a").release()
+        assert ctrl.bucket is None
 
     def test_rate_limit_shed_carries_retry_after(self):
         clock = FakeClock()
