@@ -125,10 +125,11 @@ def decode_table(table: dict, index: Index) -> DataFrame:
 def thicket_to_payload(tk) -> dict:
     """The checksummed body of a v2 store (no envelope)."""
     node_pos = {n: i for i, n in enumerate(tk.graph.node_order())}
+    index = tk.dataframe.index
     perf = {**encode_table(tk.dataframe),
-            "index": [[node_pos[t[0]], jsonable(t[1])]
-                      for t in tk.dataframe.index.values],
-            "index_names": list(tk.dataframe.index.names)}
+            "index": list(zip(index.map_labels(node_pos.__getitem__),
+                              index.map_labels(jsonable, level=1))),
+            "index_names": list(index.names)}
     meta = {**encode_table(tk.metadata),
             "index": [jsonable(p) for p in tk.metadata.index.values]}
     stats = {**encode_table(tk.statsframe),

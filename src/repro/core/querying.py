@@ -27,7 +27,6 @@ __all__ = ["query_thicket"]
 def query_thicket(tk, matcher: QueryMatcher, squash: bool = True):
     """Apply *matcher* to *tk*; returns a new Thicket of matched paths."""
     from ..graph.squash import squash_graph
-    from ..frame import MultiIndex
     from .thicket import Thicket
 
     part = tk.dataframe.index.partition(0)
@@ -64,10 +63,7 @@ def query_thicket(tk, matcher: QueryMatcher, squash: bool = True):
 
     if squash:
         new_graph, node_map = squash_graph(tk.graph, matched_set)
-        new_perf.index = MultiIndex(
-            [(node_map[t[0]], t[1]) for t in new_perf.index.values],
-            names=["node", "profile"],
-        )
+        new_perf.index = new_perf.index.relabel(0, node_map)
     else:
         new_graph = tk.graph
 

@@ -15,19 +15,23 @@ from typing import Any, Hashable
 import numpy as np
 
 from ..frame import DataFrame, Index
+from ..frame.index import factorize
+from ..frame.ops import is_missing
 
-__all__ = ["compare_thickets", "find_regressions"]
+__all__ = ["compare_thickets", "find_regressions", "judge"]
 
 
 def _per_node_values(tk, metric: Hashable) -> dict[str, np.ndarray]:
-    """Node name → float array of metric values across profiles."""
-    out: dict[str, list[float]] = {}
+    """Node name → float array of the metric's non-missing values across
+    profiles, in row order; names in the order of their first value."""
+    part = tk.dataframe.index.partition(0)
+    names = factorize(n.frame.name for n in part.uniques)
     col = tk.dataframe.column(metric)
-    for t, v in zip(tk.dataframe.index.values, col):
-        if v is None or (isinstance(v, float) and np.isnan(v)):
-            continue
-        out.setdefault(t[0].frame.name, []).append(float(v))
-    return {k: np.asarray(v) for k, v in out.items()}
+    rows = np.flatnonzero(~is_missing(col))
+    by_name = names.codes[part.codes[rows]]
+    codes, first = np.unique(by_name, return_index=True)
+    return {names.uniques[c]: col[rows[by_name == c]].astype(np.float64)
+            for c in codes[np.argsort(first)]}
 
 
 def compare_thickets(baseline, candidate, metric: Hashable,
@@ -76,22 +80,35 @@ def compare_thickets(baseline, candidate, metric: Hashable,
     return DataFrame(rows, index=Index(names, name="node"))
 
 
+def judge(table: DataFrame, threshold: float, min_samples: int = 1,
+          min_mean: float = -np.inf) -> np.ndarray:
+    """The regression rule, per row of a :func:`compare_thickets` table:
+    1 where the node regressed, -1 where it improved, 0 otherwise.
+
+    A node changed when its relative change is beyond ``±threshold``
+    and the change is decisive: significant, or undecidable because an
+    ensemble has a single run (``p_value`` NaN; kept so single-run
+    nightlies still alert).  A node with fewer than *min_samples* runs
+    on a side, or whose larger mean is below *min_mean*, never changes.
+    """
+    rel = table.column("relative_change").astype(np.float64)
+    decisive = (table.column("significant").astype(bool)
+                | np.isnan(table.column("p_value").astype(np.float64)))
+    counted = ((table.column("baseline_runs") >= min_samples)
+               & (table.column("candidate_runs") >= min_samples)
+               & (np.maximum(table.column("baseline_mean"),
+                             table.column("candidate_mean")) >= min_mean))
+    return (decisive & counted) * (
+        (rel > threshold).astype(int) - (rel < -threshold))
+
+
 def find_regressions(baseline, candidate, metric: Hashable,
                      threshold: float = 0.05, alpha: float = 0.05
                      ) -> DataFrame:
-    """Nodes whose metric grew by more than *threshold* (significantly).
+    """Nodes whose metric grew by more than *threshold*, by :func:`judge`.
 
-    Sorted worst-first by relative change.  A row qualifies when the
-    candidate mean exceeds the baseline by the threshold fraction *and*
-    the difference is statistically significant (or significance is
-    undecidable because an ensemble has a single run — those rows are
-    kept so single-run nightlies still alert, with ``p_value`` NaN).
+    Sorted worst-first by relative change.
     """
     table = compare_thickets(baseline, candidate, metric, alpha=alpha)
-    rel = table.column("relative_change").astype(np.float64)
-    pv = table.column("p_value").astype(np.float64)
-    sig = table.column("significant")
-    mask = (rel > threshold) & (np.asarray(
-        [bool(s) for s in sig]) | np.isnan(pv))
-    flagged = table[mask]
+    flagged = table[judge(table, threshold) > 0]
     return flagged.sort_values("relative_change", ascending=False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..obs import span as obs_span
 from .dataframe import DataFrame
-from .index import Index, MultiIndex, ensure_index
+from .index import Index, MultiIndex
 
 __all__ = ["concat_rows", "concat_columns"]
 
@@ -38,17 +38,11 @@ def _concat_rows(frames: Sequence[DataFrame]) -> DataFrame:
             columns.setdefault(c, None)
     columns = list(columns)
 
-    index_values: list = []
-    names = None
-    is_multi = all(isinstance(f.index, MultiIndex) for f in frames)
-    for f in frames:
-        index_values.extend(f.index.values)
-        if is_multi and names is None:
-            names = f.index.names  # type: ignore[union-attr]
-    if is_multi:
-        new_index: Index = MultiIndex(index_values, names=names)
+    if all(isinstance(f.index, MultiIndex) for f in frames):
+        new_index: Index = MultiIndex.concat([f.index for f in frames])
     else:
-        new_index = Index(index_values, name=frames[0].index.name)
+        new_index = Index([v for f in frames for v in f.index.values],
+                          name=frames[0].index.name)
 
     out = DataFrame(index=new_index)
     n_total = len(new_index)
@@ -124,7 +118,6 @@ def _concat_columns(frames: Sequence[DataFrame],
             common = common.union(f.index)
     else:
         raise ValueError(f"join must be 'inner' or 'outer', got {join!r}")
-    common = _restore_multi(common, frames)
 
     out = DataFrame(index=common)
     seen: set[Hashable] = set()
@@ -141,15 +134,3 @@ def _concat_columns(frames: Sequence[DataFrame],
             out[key] = aligned.column(c)
     return out
 
-
-def _restore_multi(index: Index, frames: Sequence[DataFrame]) -> Index:
-    """intersection/union return plain Index; recover MultiIndex names."""
-    if isinstance(index, MultiIndex):
-        return index
-    values = list(index.values)
-    if values and all(isinstance(v, tuple) for v in values):
-        for f in frames:
-            if isinstance(f.index, MultiIndex):
-                return MultiIndex(values, names=f.index.names)
-        return ensure_index(values, n=len(values))
-    return index

@@ -244,10 +244,7 @@ class DataFrame:
         if not isinstance(self.index, MultiIndex):
             raise TypeError("xs requires a MultiIndex")
         num = self.index.level_number(level)
-        mask = np.fromiter(
-            (t[num] == label for t in self.index.values), dtype=bool, count=len(self)
-        )
-        out = self._take_mask(mask)
+        out = self.take(self.index.partition(num).positions(label))
         out.index = out.index.droplevel(num)  # type: ignore[union-attr]
         return out
 
@@ -278,12 +275,7 @@ class DataFrame:
                 del out._data[c]
                 out._columns.remove(c)
         if index is not None:
-            drop_set = set(index)
-            mask = np.fromiter(
-                (lbl not in drop_set for lbl in out.index.values),
-                dtype=bool, count=len(out),
-            )
-            out = out._take_mask(mask)
+            out = out._take_mask(~out.index.isin(index))
         return out
 
     def rename(self, columns: Mapping[Hashable, Hashable]) -> "DataFrame":
@@ -312,9 +304,8 @@ class DataFrame:
         if len(keys) == 1:
             new_index: Index = Index(self._data[keys[0]], name=keys[0])
         else:
-            new_index = MultiIndex(
-                list(zip(*(self._data[k] for k in keys))), names=keys
-            )
+            new_index = MultiIndex.from_arrays(
+                [self._data[k] for k in keys], names=keys)
         out = self.drop(columns=keys) if drop else self.copy()
         out.index = new_index
         return out
@@ -329,8 +320,7 @@ class DataFrame:
             ]
             for i, name in enumerate(level_names):
                 out._data[name] = coerce_column(
-                    [t[i] for t in self.index.values], len(self)
-                )
+                    list(self.index.get_level_values(i)), len(self))
                 out._columns.append(name)
         else:
             name = (names[0] if names else None) or self.index.name or "index"
@@ -344,7 +334,7 @@ class DataFrame:
     def reindex(self, new_index: Index | Iterable) -> "DataFrame":
         """Align rows with *new_index*, filling missing rows with NaN/None."""
         new_index = ensure_index(new_index, n=0)
-        positions = self.index.get_indexer(new_index.values)
+        positions = self.index.get_indexer(new_index)
         out = DataFrame(index=new_index)
         present = positions >= 0
         safe = np.where(present, positions, 0)
@@ -456,29 +446,18 @@ class DataFrame:
             raise TypeError("unstack requires a MultiIndex")
         num = self.index.level_number(
             level if level != -1 else self.index.nlevels - 1)
-        moved = self.index.unique_level(num)
-        remaining_index = self.index.droplevel(num)
-        # unique remaining labels in first-seen order
-        seen: dict[Any, int] = {}
-        for lbl in remaining_index.values:
-            seen.setdefault(lbl, len(seen))
-        if isinstance(remaining_index, MultiIndex):
-            new_index: Index = MultiIndex(list(seen),
-                                          names=remaining_index.names)
-        else:
-            new_index = Index(list(seen), name=remaining_index.name)
+        moved = self.index.partition(num)
+        remaining = self.index.droplevel(num)
+        new_index = remaining.unique()  # first-seen order
+        row = new_index.get_indexer(remaining)
         out = DataFrame(index=new_index)
-        moved_values = [t[num] for t in self.index.values]
         for c in self._columns:
-            col = self._data[c]
-            for m in moved:
+            for code, m in enumerate(moved.uniques):
+                values = np.full(len(new_index), None, dtype=object)
+                rows = moved.segment(code)
+                values[row[rows]] = self._data[c][rows]
                 key = (c, m) if not isinstance(c, tuple) else c + (m,)
-                values: list[Any] = [None] * len(seen)
-                for lbl, mv, v in zip(remaining_index.values,
-                                      moved_values, col):
-                    if mv == m:
-                        values[seen[lbl]] = v
-                out[key] = values
+                out[key] = list(values)
         return out
 
     def dropna(self, subset: Sequence[Hashable] | None = None) -> "DataFrame":

@@ -21,7 +21,11 @@ __all__ = ["join_on_index", "merge"]
 
 def join_on_index(left: DataFrame, right: DataFrame, how: str = "inner",
                   lsuffix: str = "", rsuffix: str = "_right") -> DataFrame:
-    """Join two frames on their (single-level or multi) row index."""
+    """Join two frames on their (single-level or multi) row index.
+
+    Each side's row labels must be unique: a repeated label raises
+    ``ValueError`` rather than losing rows.
+    """
     with obs_span("frame.join_on_index", how=how, left=len(left),
                   right=len(right)):
         return _join_on_index(left, right, how, lsuffix, rsuffix)
@@ -29,6 +33,12 @@ def join_on_index(left: DataFrame, right: DataFrame, how: str = "inner",
 
 def _join_on_index(left: DataFrame, right: DataFrame, how: str,
                    lsuffix: str, rsuffix: str) -> DataFrame:
+    for side, frame in (("left", left), ("right", right)):
+        repeats = np.flatnonzero(frame.index.duplicated())
+        if len(repeats):
+            raise ValueError(
+                f"join_on_index needs unique row labels; the {side} frame "
+                f"repeats {frame.index[int(repeats[0])]!r}")
     if how == "inner":
         labels = left.index.intersection(right.index)
     elif how == "left":
@@ -63,8 +73,11 @@ def merge(left: DataFrame, right: DataFrame, on: Hashable | Sequence[Hashable],
     """SQL-style merge on shared key column(s).
 
     Implements a hash join: the right side is bucketed by key once,
-    then left rows probe the buckets.  ``how`` supports inner/left.
+    then left rows probe the buckets.  ``how`` is ``"inner"`` or
+    ``"left"``; anything else raises ``ValueError``.
     """
+    if how not in ("inner", "left"):
+        raise ValueError(f"how must be inner/left, got {how!r}")
     with obs_span("frame.merge", how=how, left=len(left),
                   right=len(right)):
         return _merge(left, right, on, how, suffixes)

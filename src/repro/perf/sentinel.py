@@ -9,19 +9,21 @@ appeared or vanished between the two ensembles.  :func:`check_store`
 is the one-call form used by ``repro perf check``: load the stored
 history as the baseline, compare the candidate, return the verdict.
 
-Detection follows ``find_regressions``'s philosophy — a node alerts
-when it exceeds the relative-change threshold and the change is either
-statistically significant or undecidable (single-run candidates have
-NaN p-values; nightly CI still needs to alert on them) — plus an
-absolute floor (``min_seconds``) so microsecond-level nodes cannot trip
-the gate on scheduler noise.
+Detection is :func:`repro.core.regression.judge`, the rule
+``find_regressions`` applies too — a node alerts when it exceeds the
+relative-change threshold and the change is either statistically
+significant or undecidable (single-run candidates have NaN p-values;
+nightly CI still needs to alert on them) — here with an absolute floor
+(``min_seconds``) so microsecond-level nodes cannot trip the gate on
+scheduler noise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
+
+import numpy as np
 
 from ..obs import span as obs_span
 from ..obs.dogfood import WALL_INC
@@ -150,17 +152,6 @@ class PerfVerdict:
                 f"nodes={self.nodes_compared})")
 
 
-def _node_names(tk, metric: str) -> set[str]:
-    """Node names with at least one non-NaN value for *metric*."""
-    names: set[str] = set()
-    col = tk.dataframe.column(metric)
-    for t, v in zip(tk.dataframe.index.values, col):
-        if v is None or (isinstance(v, float) and math.isnan(v)):
-            continue
-        names.add(t[0].frame.name)
-    return names
-
-
 def check_regression(baseline, candidate,
                      policy: PerfPolicy = DEFAULT_POLICY) -> PerfVerdict:
     """Compare two thickets under *policy* and return the verdict.
@@ -168,56 +159,39 @@ def check_regression(baseline, candidate,
     *baseline* and *candidate* are :class:`repro.core.Thicket`
     ensembles (typically the stored history vs. a fresh run converted
     through ``obs.to_thicket``).  Comparison is by call-tree node name,
-    so ensembles from different recording sessions line up.
+    so ensembles from different recording sessions line up.  Each node
+    is judged by :func:`repro.core.regression.judge`.
     """
-    from ..core.regression import compare_thickets
+    from ..core.regression import _per_node_values, compare_thickets, judge
 
     with obs_span("perf.sentinel.check"):
         table = compare_thickets(baseline, candidate, policy.metric,
                                  alpha=policy.alpha)
-        shared = set(table.index.values)
-        base_names = _node_names(baseline, policy.metric)
-        cand_names = _node_names(candidate, policy.metric)
+        base_names = set(_per_node_values(baseline, policy.metric))
+        cand_names = set(_per_node_values(candidate, policy.metric))
 
         verdict = PerfVerdict(
             policy=policy,
             new_nodes=sorted(cand_names - base_names),
             vanished_nodes=sorted(base_names - cand_names),
-            nodes_compared=len(shared),
+            nodes_compared=len(table),
             baseline_runs=len(baseline.profile),
             candidate_runs=len(candidate.profile),
         )
 
+        changed = judge(table, policy.min_relative_change,
+                        min_samples=policy.min_samples,
+                        min_mean=policy.min_seconds)
         columns = {col: table.column(col) for col in table.columns}
-        for idx, name in enumerate(table.index.values):
-            row = {col: values[idx] for col, values in columns.items()}
-            b_mean = float(row["baseline_mean"])
-            c_mean = float(row["candidate_mean"])
-            rel = float(row["relative_change"])
-            p = float(row["p_value"])
-            entry = {
-                "node": name,
-                "baseline_mean": b_mean,
-                "candidate_mean": c_mean,
-                "relative_change": rel,
-                "p_value": p,
-                "baseline_runs": int(row["baseline_runs"]),
-                "candidate_runs": int(row["candidate_runs"]),
-            }
-            if (entry["baseline_runs"] < policy.min_samples
-                    or entry["candidate_runs"] < policy.min_samples):
-                continue
-            decisive = bool(row["significant"]) or math.isnan(p)
-            if not decisive:
-                continue
-            # the floor drops nodes that are small on both sides: one
-            # that grows from under it to over it is a regression
-            if max(b_mean, c_mean) < policy.min_seconds:
-                continue
-            if rel > policy.min_relative_change:
-                verdict.regressions.append(entry)
-            elif rel < -policy.min_relative_change:
-                verdict.improvements.append(entry)
+        for idx in np.flatnonzero(changed):
+            entry = {"node": table.index[int(idx)]}
+            for col in ("baseline_mean", "candidate_mean",
+                        "relative_change", "p_value"):
+                entry[col] = float(columns[col][idx])
+            for col in ("baseline_runs", "candidate_runs"):
+                entry[col] = int(columns[col][idx])
+            (verdict.regressions if changed[idx] > 0
+             else verdict.improvements).append(entry)
 
         verdict.regressions.sort(key=lambda r: r["relative_change"],
                                  reverse=True)

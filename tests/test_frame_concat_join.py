@@ -119,6 +119,21 @@ class TestJoinOnIndex:
         with pytest.raises(ValueError):
             join_on_index(DataFrame(), DataFrame(), how="cross")
 
+    @pytest.mark.parametrize("how", ["inner", "left", "outer"])
+    def test_duplicate_labels_rejected(self, how):
+        dup = DataFrame({"a": [1.0, 2.0, 3.0]}, index=Index(["a", "a", "b"]))
+        uniq = DataFrame({"b": [4.0, 5.0]}, index=Index(["a", "b"]))
+        for left, right, side in ((dup, uniq, "left"), (uniq, dup, "right")):
+            with pytest.raises(ValueError, match=f"the {side} frame "
+                                                 f"repeats 'a'"):
+                join_on_index(left, right, how=how)
+
+    def test_duplicate_multiindex_labels_rejected(self):
+        mi = MultiIndex([("n", 1), ("n", 2), ("n", 1)], names=["node", "p"])
+        dup = DataFrame({"a": [1.0, 2.0, 3.0]}, index=mi)
+        with pytest.raises(ValueError, match=r"repeats \('n', 1\)"):
+            join_on_index(dup, dup.select(["a"]).rename({"a": "b"}))
+
 
 class TestMerge:
     def test_inner_hash_join(self):
@@ -145,6 +160,13 @@ class TestMerge:
     def test_missing_key_errors(self):
         with pytest.raises(KeyError):
             merge(DataFrame({"a": [1]}), DataFrame({"b": [1]}), on="a")
+
+    @pytest.mark.parametrize("how", ["outer", "right", "bogus"])
+    def test_bad_how(self, how):
+        left = DataFrame({"k": [1, 2], "v": [10, 20]})
+        right = DataFrame({"k": [2, 3], "w": [1.0, 2.0]})
+        with pytest.raises(ValueError, match="how must be inner/left"):
+            merge(left, right, on="k", how=how)
 
     def test_shared_non_key_columns_suffixed(self):
         left = DataFrame({"k": [1], "v": [1.0]})
