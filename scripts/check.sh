@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo health check: tier-1 tests, warning-clean bytecode compilation,
-# static analysis, smoke runs of the fault-tolerant ingestion
-# benchmark and observability stack, durable-store recovery, a
+# static analysis, the paper-figure benchmarks, the differential
+# oracles on a CI example budget, a smoke run of the observability
+# stack, durable-store recovery, a
 # supervised-parallel chaos smoke (hang + worker crash), the perf
 # sentinel, a serve lifecycle smoke (admission, shedding, drain,
 # kill -9 recovery), and a client-chaos smoke (repro remote against a
@@ -54,12 +55,15 @@ print(f"lint cache: cold {t1 - t0:.2f}s, warm {t2 - t1:.2f}s "
       f"({warm.cache_hits} file(s) from cache)")
 PY
 
-echo "== ingestion benchmark smoke =="
-python -m pytest benchmarks/bench_ingest_faulty.py -q \
-    --benchmark-disable
+echo "== paper-figure benchmarks and differential oracles =="
+# every benchmark's shape assertions (the paper figures, ablations and
+# the fault-tolerant ingestion benchmark), timings off
+python -m pytest benchmarks -q --benchmark-disable
 # the fused cali-JSON parser against the frozen validator + reader pair,
-# on a larger example budget than tier-1 gives it
+# and the code-keyed frame and composition against the frozen
+# tuple-keyed reference, on a larger example budget than tier-1 gives
 python -m pytest tests/test_reader_oracle.py -q --hypothesis-profile=ci
+python -m pytest tests/test_frame_oracle.py -q --hypothesis-profile=ci
 
 echo "== observability smoke (traced ingest + repro obs) =="
 # Trace a small campaign ingest end to end, then validate the emitted

@@ -161,6 +161,12 @@ class TestLevelPartition:
         assert list(part.row_mask({"a", "zzz"})) == [
             False, True, False, False, True]
 
+    def test_factorize_numeric_array_with_nan(self):
+        # each NaN scalar of the array is its own label, as it is its
+        # own dict key
+        part = factorize(np.array([1.0, np.nan, 1.0, np.nan]))
+        assert list(part.codes) == [0, 1, 0, 2]
+
     def test_factorize_empty(self):
         part = factorize([])
         assert part.uniques == [] and len(part.codes) == 0

@@ -66,11 +66,12 @@ class TestNode:
         assert len({a1, a2}) == 2
 
     def test_identity_dunders_are_the_object_defaults(self):
-        # Nodes key the dicts behind union_many, _compose, _sort_perfdata,
-        # MultiIndex.get_indexer and join_on_index.  A Python-level
-        # __hash__/__eq__ (even `return id(self)`) turns each lookup into
-        # a function call; on a 40-profile thicket that about doubles
-        # the time of get_indexer and join_on_index.
+        # Nodes key the dicts behind union_many, the node ranks of the
+        # composition row order and the node level of every (node,
+        # profile) MultiIndex, whose construction hashes each row's
+        # node once.  A Python-level __hash__/__eq__ (even
+        # `return id(self)`) turns each of those lookups into a
+        # function call.
         assert "__hash__" not in Node.__dict__
         assert "__eq__" not in Node.__dict__
 
