@@ -53,7 +53,7 @@ class Series:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)) and not isinstance(
-            self.index.values[0] if len(self.index) else None, (int, np.integer)
+            self.index[0] if len(self.index) else None, (int, np.integer)
         ):
             # positional access when labels are not ints
             return self.values[key]
