@@ -17,6 +17,10 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# one scratch root for every smoke below, removed however the run ends
+SCRATCH=$(mktemp -d)
+trap 'rm -rf "$SCRATCH"' EXIT
+
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
@@ -70,8 +74,8 @@ echo "== observability smoke (traced ingest + repro obs) =="
 # Chrome trace with the obs subcommand and the Thicket round-trip.
 # TRACE_OUT can be pointed at a CI workspace path for artifact upload.
 TRACE_OUT="${TRACE_OUT:-$(pwd)/trace-smoke.json}"
-OBS_CAMPAIGN=$(mktemp -d)
-trap 'rm -rf "$OBS_CAMPAIGN"' EXIT
+OBS_CAMPAIGN="$SCRATCH/obs"
+mkdir "$OBS_CAMPAIGN"
 python - "$OBS_CAMPAIGN" <<'PY'
 import sys
 from pathlib import Path
@@ -105,8 +109,8 @@ echo "== durable-store recovery smoke =="
 # flag it with the dedicated exit code; then interrupt a checkpointed
 # ingest mid-campaign and require the re-run to resume the remainder
 # and compose the same thicket.
-STORE_DIR=$(mktemp -d)
-trap 'rm -rf "$OBS_CAMPAIGN" "$STORE_DIR"' EXIT
+STORE_DIR="$SCRATCH/store"
+mkdir "$STORE_DIR"
 python -m repro ingest "$OBS_CAMPAIGN" \
     --save "$STORE_DIR/tk.json" >/dev/null
 python -m repro validate "$STORE_DIR/tk.json"
@@ -186,8 +190,8 @@ echo "== chaos smoke (supervised parallel ingest) =="
 # supervised parallel ingest, and require: exit code 3 (partial
 # ingest), both failures attributed with the right error types, and
 # every healthy profile loaded.
-CHAOS_DIR=$(mktemp -d)
-trap 'rm -rf "$OBS_CAMPAIGN" "$STORE_DIR" "$CHAOS_DIR"' EXIT
+CHAOS_DIR="$SCRATCH/chaos"
+mkdir "$CHAOS_DIR"
 python - "$CHAOS_DIR" <<'PY'
 import sys
 from pathlib import Path
@@ -247,8 +251,8 @@ echo "== perf sentinel smoke (record, check, staged regression) =="
 # VERDICT_OUT / PROFILE_OUT can point at CI workspace paths for upload.
 VERDICT_OUT="${VERDICT_OUT:-$(pwd)/perf-verdict.json}"
 PROFILE_OUT="${PROFILE_OUT:-$(pwd)/perf-flamegraph.collapsed}"
-PERF_DIR=$(mktemp -d)
-trap 'rm -rf "$OBS_CAMPAIGN" "$STORE_DIR" "$CHAOS_DIR" "$PERF_DIR"' EXIT
+PERF_DIR="$SCRATCH/perf"
+mkdir "$PERF_DIR"
 python - "$PERF_DIR/profiles" <<'PY'
 import sys
 
@@ -344,9 +348,8 @@ echo "== serve smoke (concurrency, shed, drain, kill -9 recovery) =="
 # `repro validate` passes and a restarted server picks up cleanly.
 # SERVE_TRACE_OUT can point at a CI workspace path for upload.
 SERVE_TRACE_OUT="${SERVE_TRACE_OUT:-$(pwd)/serve-trace.json}"
-SERVE_DIR=$(mktemp -d)
-trap 'rm -rf "$OBS_CAMPAIGN" "$STORE_DIR" "$CHAOS_DIR" "$PERF_DIR" \
-    "$SERVE_DIR"' EXIT
+SERVE_DIR="$SCRATCH/serve"
+mkdir "$SERVE_DIR"
 python -m repro ingest "$OBS_CAMPAIGN" \
     --save "$SERVE_DIR/stores/demo.json" >/dev/null
 
@@ -364,7 +367,7 @@ serve_port() {  # wait for the startup banner, echo the bound port
 # with zero sheds, then SIGTERM drains to exit 0 with its trace written
 python -m repro --trace "$SERVE_TRACE_OUT" serve \
     --store "$SERVE_DIR/stores" --port 0 --workers 4 --queue-limit 32 \
-    --max-inflight 64 --drain-deadline 10 \
+    --drain-deadline 10 \
     2> "$SERVE_DIR/serve-1.log" &
 SERVE_PID=$!
 SERVE_PORT=$(serve_port "$SERVE_DIR/serve-1.log")
@@ -423,7 +426,7 @@ echo "serve smoke: SIGTERM drained to exit 0, trace at $SERVE_TRACE_OUT"
 # shed the next request with a typed 429 queue_full + Retry-After,
 # then survive kill -9 with the store intact
 python -m repro serve --store "$SERVE_DIR/stores" --port 0 \
-    --workers 2 --queue-limit 1 --max-inflight 16 --request-timeout 2 \
+    --workers 2 --queue-limit 1 --request-timeout 2 \
     2> "$SERVE_DIR/serve-2.log" &
 SERVE_PID=$!
 SERVE_PORT=$(serve_port "$SERVE_DIR/serve-2.log")
@@ -522,9 +525,8 @@ echo "== client-chaos smoke (repro remote vs fault injection) =="
 # beating un-hedged reads at p99.
 # CLIENT_TRACE_OUT can point at a CI workspace path for upload.
 CLIENT_TRACE_OUT="${CLIENT_TRACE_OUT:-$(pwd)/client-trace.json}"
-CLIENT_DIR=$(mktemp -d)
-trap 'rm -rf "$OBS_CAMPAIGN" "$STORE_DIR" "$CHAOS_DIR" "$PERF_DIR" \
-    "$SERVE_DIR" "$CLIENT_DIR"' EXIT
+CLIENT_DIR="$SCRATCH/client"
+mkdir "$CLIENT_DIR"
 python - "$CLIENT_DIR/stores" 31 0.3 \
     drop_connection,http_500,duplicate_delivery \
     2> "$CLIENT_DIR/flaky.log" <<'PY' &
@@ -532,14 +534,13 @@ import signal
 import sys
 import threading
 
-from repro.serve import AdmissionController, AnalysisService, WorkerPool
+from repro.serve import AnalysisService, WorkerPool
 from repro.workloads import FlakyServer
 
 store, seed, rate, modes = sys.argv[1:5]
 service = AnalysisService(
     store,
     pool=WorkerPool(workers=4, queue_limit=32, task_timeout=10.0),
-    admission=AdmissionController(max_inflight=64),
     request_timeout=10.0)
 flaky = FlakyServer(service, fault_rate=float(rate),
                     modes=tuple(modes.split(",")), seed=int(seed))
@@ -591,7 +592,7 @@ import tempfile
 import time
 
 from repro.client import ClientPolicy, ReproClient
-from repro.serve import AdmissionController, AnalysisService, WorkerPool
+from repro.serve import AnalysisService, WorkerPool
 from repro.workloads import FlakyServer
 
 
@@ -605,7 +606,6 @@ def measure(hedge):
         service = AnalysisService(
             store,
             pool=WorkerPool(workers=4, queue_limit=32, task_timeout=10.0),
-            admission=AdmissionController(max_inflight=64),
             request_timeout=10.0)
         policy = ClientPolicy(hedge=hedge, hedge_delay=0.05,
                               attempt_timeout=5.0, backoff=0.01,

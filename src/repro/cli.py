@@ -66,7 +66,7 @@ itself::
 The supervised analysis service lives under ``repro serve``::
 
     python -m repro serve --store stores/ --port 8080
-    python -m repro serve --store stores/ --rate 50 --max-inflight 16 \
+    python -m repro serve --store stores/ --rate 50 --queue-limit 8 \
                           --soft-limit-mb 512 --hard-limit-mb 1024
 
 It exposes the thicket stores in a directory over an HTTP JSON API
@@ -311,7 +311,7 @@ def _cmd_serve(args) -> int:
         governor = PressureGovernor(soft * 1024 * 1024,
                                     hard * 1024 * 1024)
     admission = AdmissionController(
-        max_inflight=args.max_inflight, rate=args.rate, burst=args.burst,
+        rate=args.rate, burst=args.burst,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown)
     pool = WorkerPool(args.workers, args.queue_limit,
@@ -453,15 +453,11 @@ def _cmd_lint(args) -> int:
     cache_dir = None
     if not args.no_cache:
         cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    if args.write_baseline and not args.baseline:
-        raise SystemExit("lint: --write-baseline requires --baseline FILE")
     try:
         result = run_lint(args.paths, select=rule_ids(args.select),
                           ignore=rule_ids(args.ignore),
-                          project=project, cache_dir=cache_dir,
-                          baseline=args.baseline,
-                          write_baseline=args.write_baseline)
-    except ValueError as e:  # unknown rule id / corrupt baseline
+                          project=project, cache_dir=cache_dir)
+    except ValueError as e:  # unknown rule id
         raise SystemExit(f"lint: {e}") from e
     if args.sarif:
         from .ioutil import atomic_write_text
@@ -471,10 +467,6 @@ def _cmd_lint(args) -> int:
         print(format_json(result))
     else:
         print(format_text(result))
-    if args.write_baseline:
-        print(f"baseline recorded to {args.baseline} "
-              f"({len(result.findings)} finding(s))", file=sys.stderr)
-        return EXIT_OK
     return EXIT_OK if result.ok else EXIT_LINT_FINDINGS
 
 
@@ -722,12 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", metavar="DIR", default=None,
                    help="incremental cache location (default "
                         ".repro-lint-cache/)")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="suppress exactly the findings recorded in FILE; "
-                        "entries that no longer fire are reported RPR000")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="record the current findings into --baseline "
-                        "FILE and exit 0")
     _add_obs_flags(p, suppress=True)
     p.set_defaults(fn=_cmd_lint)
 
@@ -748,10 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="queue_limit", metavar="N",
                    help="bounded work-queue depth; submissions beyond it "
                         "are shed with 429 (default 16)")
-    p.add_argument("--max-inflight", type=int, default=32,
-                   dest="max_inflight", metavar="N",
-                   help="admission concurrency bound: running + queued "
-                        "requests (default 32)")
     p.add_argument("--rate", type=float, default=0.0, metavar="RPS",
                    help="token-bucket requests/second cap "
                         "(0 disables; default 0)")

@@ -241,13 +241,12 @@ class ServeError(ReproError):
 class OverloadedError(ServeError):
     """Admission control shed this request (HTTP 429).
 
-    Raised when the token-bucket rate limiter is empty, the bounded
-    work queue / concurrency semaphore is full, or the caller's
-    per-client circuit breaker is open.  ``retry_after`` is the
-    server's estimate (seconds) of when capacity returns; it becomes
-    the ``Retry-After`` response header.  ``reason`` names the shed
-    path (``rate_limited``/``queue_full``/``concurrency``/
-    ``circuit_open``).
+    Raised when the token-bucket rate limiter is empty, the worker
+    pool's bounded queue is full, or the caller's per-client circuit
+    breaker is open.  ``retry_after`` is the server's estimate
+    (seconds) of when capacity returns; it becomes the
+    ``Retry-After`` response header.  ``reason`` names the shed path
+    (``rate_limited``/``queue_full``/``circuit_open``).
     """
 
     default_stage = "admit"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .index import MultiIndex
 
-__all__ = ["format_frame", "format_value"]
+__all__ = ["format_frame", "format_value", "text_grid"]
 
 
 def format_value(v: Any, float_fmt: str = "{:.6g}") -> str:
@@ -26,10 +26,18 @@ def format_value(v: Any, float_fmt: str = "{:.6g}") -> str:
     return str(v)
 
 
-def format_frame(df, max_rows: int = 40, float_fmt: str = "{:.6g}") -> str:
-    n = len(df)
-    shown = min(n, max_rows)
-    truncated = shown < n
+def text_grid(df, max_rows: int = 40,
+              float_fmt: str = "{:.6g}") -> tuple[list[list[str]], int]:
+    """The cells of *df*'s table, as the text repr and the SVG table
+    draw them; returns ``(grid, index columns)``.
+
+    The grid holds ``df.column_nlevels()`` header rows, then one row
+    per shown data row.  Each row is the index cells followed by one
+    cell per column.  Repeated MultiIndex prefixes and repeated banner
+    cells of the upper column levels are blanked, pandas-style, and
+    the index names sit on the last header row.
+    """
+    shown = min(len(df), max_rows)
 
     # --- index cells -------------------------------------------------
     if isinstance(df.index, MultiIndex):
@@ -74,13 +82,18 @@ def format_frame(df, max_rows: int = 40, float_fmt: str = "{:.6g}") -> str:
     ]
 
     n_idx = len(idx_names)
-    table: list[list[str]] = []
+    grid: list[list[str]] = []
     for lv in range(nlevels):
         left = idx_names if lv == nlevels - 1 else [""] * n_idx
-        table.append(list(left) + col_headers[lv])
+        grid.append(list(left) + col_headers[lv])
     for ir, br in zip(idx_rows, body):
-        table.append(ir + br)
+        grid.append(ir + br)
+    return grid, n_idx
 
+
+def format_frame(df, max_rows: int = 40, float_fmt: str = "{:.6g}") -> str:
+    n = len(df)
+    table, n_idx = text_grid(df, max_rows, float_fmt)
     widths = [
         max(len(row[j]) for row in table) for j in range(n_idx + len(df.columns))
     ]
@@ -91,7 +104,7 @@ def format_frame(df, max_rows: int = 40, float_fmt: str = "{:.6g}") -> str:
             pad = cell.ljust(widths[j]) if j < n_idx else cell.rjust(widths[j])
             cells.append(pad)
         lines.append("  ".join(cells).rstrip())
-    if truncated:
+    if n > max_rows:
         lines.append(f"... [{n} rows x {len(df.columns)} columns]")
     else:
         lines.append(f"[{n} rows x {len(df.columns)} columns]")

@@ -39,9 +39,8 @@ interprocedural rules run over it:
 Violations are suppressed per line with ``# repro: noqa[RULE-ID]``
 (comma-separated for several rules); a suppression that matches no
 finding is itself reported as ``RPR000`` so stale noqa comments
-cannot accumulate.  The same philosophy powers ``--baseline FILE``
-(:mod:`repro.lint.baseline`): recorded findings are suppressed
-exactly, and entries that stop firing become findings.
+cannot accumulate.  It is the one suppression mechanism: a finding a
+tree accepts is recorded next to the line it fires on.
 
 Warm runs are incremental: with a cache directory
 (:mod:`repro.lint.cache`, CLI default ``.repro-lint-cache/``)
@@ -51,10 +50,9 @@ including the whole-program pass, which rebuilds its call graph from
 cached summaries.  Corrupt cache entries degrade to a re-parse.
 
 CLI: ``repro lint PATH... [--json] [--sarif PATH] [--select IDS]
-[--ignore IDS] [--project/--no-project] [--no-cache] [--cache-dir D]
-[--baseline FILE] [--write-baseline]``, exit code 5 when any
-unsuppressed finding remains.  The project pass is on by default when
-linting a directory.
+[--ignore IDS] [--project/--no-project] [--no-cache] [--cache-dir D]``,
+exit code 5 when any unsuppressed finding remains.  The project pass
+is on by default when linting a directory.
 
 Runtime query checking — validating a *parsed* query against a
 concrete thicket before execution — lives in
@@ -65,7 +63,6 @@ concrete thicket before execution — lives in
 from . import excflow, rules_concurrency  # noqa: F401
 from . import rules_query, rules_repo, rules_serve  # noqa: F401
 # (imported for their @register / @register_project side effects)
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .cache import DEFAULT_CACHE_DIR, LintCache, ruleset_signature
 from .callgraph import CallGraph, find_lock_cycles
 from .engine import (
@@ -100,7 +97,6 @@ __all__ = [
     "register_project", "all_project_rules", "extract_summary",
     "propagate_raises", "find_lock_cycles",
     "LintCache", "DEFAULT_CACHE_DIR", "ruleset_signature",
-    "write_baseline", "load_baseline", "apply_baseline",
     "format_text", "format_json", "format_sarif",
     "REPO_RULE_IDS", "QUERY_RULE_IDS", "SERVE_RULE_IDS",
     "CONCURRENCY_RULE_IDS", "EXCFLOW_RULE_IDS",

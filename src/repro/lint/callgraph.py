@@ -35,7 +35,10 @@ MAX_CHAIN_DEPTH = 24
 
 
 class CallGraph:
-    """Resolved call edges plus the derived blocking/lock analyses."""
+    """Resolved call edges plus the derived blocking/lock analyses.
+
+    Built once per index, as :attr:`ProjectIndex.call_graph`.
+    """
 
     def __init__(self, index: ProjectIndex):
         self.index = index
@@ -49,32 +52,8 @@ class CallGraph:
                     out.append((callee, call))
             self.edges[qual] = out
         self._acq_cache: dict[str, set[str]] = {}
-        self._block_cache: dict[str, tuple[str, int] | None] = {}
 
     # -- blocking reachability ----------------------------------------
-
-    def first_blocking(self, qual: str) -> tuple[str, int] | None:
-        """(kind, line) of a blocking op executed by *qual* itself, or
-        by anything it (transitively) calls; None when provably none.
-
-        Bounded waits (``join(timeout)``…) still count: blocking for a
-        bounded time under a lock is still blocking under a lock.
-        """
-        if qual in self._block_cache:
-            return self._block_cache[qual]
-        self._block_cache[qual] = None  # cycle guard
-        fn = self.index.functions.get(qual)
-        if fn is None:
-            return None
-        for b in fn["blocking"]:
-            self._block_cache[qual] = (b["kind"], b["line"])
-            return self._block_cache[qual]
-        for callee, _call in self.edges.get(qual, ()):
-            hit = self.first_blocking(callee)
-            if hit is not None:
-                self._block_cache[qual] = hit
-                return hit
-        return None
 
     def blocking_chain(self, start: str) -> list[tuple[str, int]] | None:
         """Shortest call chain ``[(func, call line), …]`` from *start*

@@ -32,7 +32,8 @@ from ..obs import counter as obs_counter
 from ..obs import span as obs_span
 
 __all__ = ["Finding", "Rule", "FileContext", "LintResult", "run_lint",
-           "lint_file", "register", "all_rules", "SEVERITIES"]
+           "lint_file", "register", "all_rules", "module_matches",
+           "SEVERITIES"]
 
 SEVERITIES = ("error", "warning")
 
@@ -128,6 +129,19 @@ def module_relpath(path: Path) -> str:
     return Path(path).name
 
 
+def module_matches(module: str, patterns: Iterable[str]) -> bool:
+    """True when *module* (a :func:`module_relpath`) is one of
+    *patterns* (``a/b.py`` exact file, ``pkg/`` any file under that
+    package)."""
+    for pat in patterns:
+        if pat.endswith("/"):
+            if module.startswith(pat):
+                return True
+        elif module == pat or module.endswith("/" + pat):
+            return True
+    return False
+
+
 class FileContext:
     """Everything a rule may need about the file being linted."""
 
@@ -145,17 +159,6 @@ class FileContext:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1]
         return ""
-
-    def module_matches(self, patterns: Iterable[str]) -> bool:
-        """True when this file is one of *patterns* (``a/b.py`` exact
-        file, ``pkg/`` any file under that package)."""
-        for pat in patterns:
-            if pat.endswith("/"):
-                if self.module.startswith(pat):
-                    return True
-            elif self.module == pat or self.module.endswith("/" + pat):
-                return True
-        return False
 
     def report(self, rule: Rule, node: ast.AST | None, message: str,
                line: int | None = None, col: int | None = None) -> None:
@@ -199,24 +202,18 @@ def _build_dispatch(rules: Sequence[Rule]) -> dict[str, list]:
     return dispatch
 
 
-def _analyze_file(path: Path, text: str | None,
+def _analyze_file(path: Path, text: str,
                   rule_classes: Sequence[type[Rule]],
                   ) -> tuple[list[Finding], dict[int, set[str]],
                              ast.AST | None]:
-    """Parse *path* and run the per-file rules.
+    """Parse *text* (the contents of *path*) and run the per-file rules.
 
     Returns ``(raw findings, noqa map, tree)`` — *raw* meaning
     pre-suppression, so the caller can merge project-pass findings
-    before deciding which suppressions were actually used.  Unreadable
-    or unparseable files yield a single ``RPR999`` finding and a None
+    before deciding which suppressions were actually used.  An
+    unparseable file yields a single ``RPR999`` finding and a None
     tree.
     """
-    if text is None:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            return ([Finding(RULE_SYNTAX_ERROR, str(path), 1, 0, "error",
-                             f"cannot read file: {exc}")], {}, None)
     try:
         tree = ast.parse(text, filename=str(path))
     except SyntaxError as exc:
@@ -270,13 +267,11 @@ def _apply_suppressions(findings: Iterable[Finding],
 
 def lint_file(path: str | Path,
               rule_classes: Sequence[type[Rule]]) -> list[Finding]:
-    """Lint one file; returns post-suppression findings (including
-    ``RPR000`` for suppressions that matched nothing)."""
-    path = Path(path)
-    raw, noqa, _tree = _analyze_file(path, None, rule_classes)
-    return _apply_suppressions(raw, noqa,
-                               {cls.rule_id for cls in rule_classes},
-                               str(path))
+    """Lint one file with the given registered rules; returns
+    post-suppression findings (including ``RPR000`` for suppressions
+    that matched nothing)."""
+    return run_lint([path],
+                    select=[cls.rule_id for cls in rule_classes]).findings
 
 
 class _UnusedSuppression(Rule):
@@ -374,9 +369,7 @@ def run_lint(paths: Sequence[str | Path],
              select: Iterable[str] | None = None,
              ignore: Iterable[str] | None = None,
              project: bool = False,
-             cache_dir: str | Path | None = None,
-             baseline: str | Path | None = None,
-             write_baseline: bool = False) -> LintResult:
+             cache_dir: str | Path | None = None) -> LintResult:
     """Lint *paths* (files and/or directories) with the registered rules.
 
     ``select`` limits the run to the given rule ids; ``ignore`` drops
@@ -388,10 +381,7 @@ def run_lint(paths: Sequence[str | Path],
 
     ``cache_dir`` enables the incremental cache (per-file findings and
     summaries keyed by content sha256 + ruleset signature; corrupt
-    entries fall back to a re-parse).  ``baseline`` applies a recorded
-    baseline file — its findings are suppressed, and entries that no
-    longer fire are reported as ``RPR000`` — while ``write_baseline``
-    records the current findings into it instead.
+    entries fall back to a re-parse).
 
     The run itself is traced: an ``obs`` span (``lint.run``) plus
     ``lint.files`` / ``lint.findings`` / ``lint.cache.*`` counters, so
@@ -464,18 +454,7 @@ def run_lint(paths: Sequence[str | Path],
         for path_str, (raw, noqa) in per_file.items():
             findings.extend(_apply_suppressions(raw, noqa, active_ids,
                                                 path_str))
-
-        if baseline is not None and not write_baseline:
-            from .baseline import apply_baseline, load_baseline
-
-            kept, stale = apply_baseline(findings,
-                                         load_baseline(baseline))
-            findings = kept + stale
         findings.sort(key=lambda f: f.sort_key)
-        if baseline is not None and write_baseline:
-            from .baseline import write_baseline as record_baseline
-
-            record_baseline(findings, baseline)
 
         s.set("findings", len(findings))
         obs_counter("lint.files", len(files))

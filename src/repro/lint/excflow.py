@@ -36,7 +36,7 @@ from __future__ import annotations
 import builtins
 from typing import Any
 
-from .engine import Finding
+from .engine import Finding, module_matches
 from .project import ProjectIndex, ProjectRule, register_project
 
 __all__ = ["EXCFLOW_RULE_IDS", "propagate_raises"]
@@ -93,9 +93,7 @@ def propagate_raises(
     ``("call", call line, callee qual)`` for a propagated one, so
     callers can reconstruct the full leak chain.
     """
-    from .callgraph import CallGraph
-
-    graph = CallGraph(index)
+    graph = index.call_graph
     raises: dict[str, dict[str, tuple[Any, ...]]] = {}
     for qual, fn, _summary in index.iter_functions():
         direct: dict[str, tuple[Any, ...]] = {}
@@ -176,16 +174,16 @@ class PublicLeakRule(ProjectRule):
                 continue  # nested functions are not entry points
             if cls is not None and cls.startswith("_"):
                 continue
-            probe = _ModuleProbe(summary.relpath)
-            if not probe.module_matches(DocstringRule.PUBLIC_MODULES):
+            module = summary.relpath
+            if not module_matches(module, DocstringRule.PUBLIC_MODULES):
                 continue
-            strict = probe.module_matches(TypedRaiseRule.STRICT_MODULES)
+            strict = module_matches(module, TypedRaiseRule.STRICT_MODULES)
             allowed = set(self.ALWAYS_ALLOWED)
             if not strict:
                 allowed |= TypedRaiseRule.GLOBAL_BUILTINS
                 for pattern, extra in \
                         TypedRaiseRule.MODULE_BUILTINS.items():
-                    if probe.module_matches((pattern,)):
+                    if module_matches(module, (pattern,)):
                         allowed |= extra
             for name in sorted(raises.get(qual, ())):
                 if name in typed or name in allowed:
@@ -201,22 +199,6 @@ class PublicLeakRule(ProjectRule):
                     f"can leak {name} (via {hops}); wrap it in a typed "
                     f"ReproError at the boundary"))
         return findings
-
-
-class _ModuleProbe:
-    """Minimal stand-in exposing ``module_matches`` for a relpath."""
-
-    def __init__(self, module: str):
-        self.module = module
-
-    def module_matches(self, patterns) -> bool:
-        for pat in patterns:
-            if pat.endswith("/"):
-                if self.module.startswith(pat):
-                    return True
-            elif self.module == pat or self.module.endswith("/" + pat):
-                return True
-        return False
 
 
 EXCFLOW_RULE_IDS = ["RPR010"]

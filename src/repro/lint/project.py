@@ -27,7 +27,9 @@ escapes from.  The project pass closes that gap in three steps:
    :func:`register_project`) receive the index and report through the
    ordinary :class:`~repro.lint.engine.Finding` machinery, so project
    findings participate in ``# repro: noqa[...]`` suppression, the
-   stale-suppression rule ``RPR000``, baselines, and every reporter.
+   stale-suppression rule ``RPR000``, and every reporter.  The index
+   builds the call graph (:mod:`repro.lint.callgraph`) once, on first
+   use, and every project rule reads that one graph.
 
 The built-in project rules live in
 :mod:`repro.lint.rules_concurrency` (``RPC201``–``RPC203``) and
@@ -37,6 +39,7 @@ The built-in project rules live in
 from __future__ import annotations
 
 import ast
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -598,6 +601,14 @@ class ProjectIndex:
             for qual, record in s.functions.items():
                 self.functions[qual] = record
                 self.function_module[qual] = s
+
+    @cached_property
+    def call_graph(self):
+        """The project's :class:`~repro.lint.callgraph.CallGraph`,
+        built once and shared by every project rule."""
+        from .callgraph import CallGraph
+
+        return CallGraph(self)
 
     # -- name resolution ----------------------------------------------
 

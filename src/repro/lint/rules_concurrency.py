@@ -21,7 +21,7 @@ RPC203  lock held across a ``yield``
 
 from __future__ import annotations
 
-from .callgraph import CallGraph, find_lock_cycles
+from .callgraph import find_lock_cycles
 from .engine import Finding
 from .project import GUARD_TOKEN, ProjectIndex, ProjectRule, \
     register_project
@@ -70,7 +70,7 @@ class BlockingUnderLockRule(ProjectRule):
                  "that is the difference between a p99 and an outage")
 
     def check(self, index: ProjectIndex) -> list[Finding]:
-        graph = CallGraph(index)
+        graph = index.call_graph
         findings: list[Finding] = []
         for qual, fn, summary in index.iter_functions():
             short = qual.split(":", 1)[1]
@@ -133,8 +133,7 @@ class LockOrderCycleRule(ProjectRule):
                  "one static guarantee that prevents it")
 
     def check(self, index: ProjectIndex) -> list[Finding]:
-        graph = CallGraph(index)
-        edges = graph.lock_order_edges()
+        edges = index.call_graph.lock_order_edges()
         findings: list[Finding] = []
         for cycle in find_lock_cycles(edges):
             # anchor the finding on the first edge of the cycle

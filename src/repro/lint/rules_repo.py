@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 import re
 
-from .engine import FileContext, Rule, register
+from .engine import FileContext, Rule, module_matches, register
 
 __all__ = ["REPO_RULE_IDS"]
 
@@ -136,7 +136,7 @@ class TypedRaiseRule(Rule):
             return  # re-raising a variable; type unknowable statically
         if name in self.typed:
             return
-        if ctx.module_matches(self.STRICT_MODULES):
+        if module_matches(ctx.module, self.STRICT_MODULES):
             ctx.report(self, node,
                        f"raise {name} in strict module {ctx.module}: "
                        f"ingestion/reader/store paths must raise typed "
@@ -144,7 +144,7 @@ class TypedRaiseRule(Rule):
             return
         allowed = set(self.GLOBAL_BUILTINS)
         for pattern, extra in self.MODULE_BUILTINS.items():
-            if ctx.module_matches((pattern,)):
+            if module_matches(ctx.module, (pattern,)):
                 allowed |= extra
         if name not in allowed:
             ctx.report(self, node,
@@ -167,7 +167,7 @@ class AtomicWriteRule(Rule):
     ALLOWED_MODULES = ("ioutil.py", "ingest/checkpoint.py")
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        if ctx.module_matches(self.ALLOWED_MODULES):
+        if module_matches(ctx.module, self.ALLOWED_MODULES):
             return
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in (
@@ -218,7 +218,7 @@ class WallClockRule(Rule):
     _CLOCK_ATTRS = {"now", "utcnow", "today"}
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        if ctx.module_matches(self.ALLOWED_MODULES):
+        if module_matches(ctx.module, self.ALLOWED_MODULES):
             return
         dotted = _dotted(node.func).split(".")
         if len(dotted) < 2:
@@ -305,7 +305,7 @@ class DocstringRule(Rule):
     PUBLIC_MODULES = ("core/", "query/", "ingest/", "errors.py")
 
     def visit_Module(self, node: ast.Module, ctx: FileContext) -> None:
-        if not ctx.module_matches(self.PUBLIC_MODULES):
+        if not module_matches(ctx.module, self.PUBLIC_MODULES):
             return
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -357,7 +357,7 @@ class ResilienceRoutingRule(Rule):
         self.pool_names: set[str] = set()
         self.module_aliases: set[str] = set()
         self.reported: set[int] = set()
-        if ctx.module_matches(self.ALLOWED_MODULES):
+        if module_matches(ctx.module, self.ALLOWED_MODULES):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
@@ -382,7 +382,7 @@ class ResilienceRoutingRule(Rule):
             and node.func.id in self.sleep_aliases)
 
     def _loop_check(self, node, ctx: FileContext) -> None:
-        if ctx.module_matches(self.ALLOWED_MODULES):
+        if module_matches(ctx.module, self.ALLOWED_MODULES):
             return
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call) and self._is_sleep(sub) \
@@ -393,7 +393,7 @@ class ResilienceRoutingRule(Rule):
                            "retry/poll loop; use resilience."
                            "ResiliencePolicy backoff or an injected sleep "
                            "seam")
-        if ctx.module_matches(self.SEAM_ALLOWED_MODULES):
+        if module_matches(ctx.module, self.SEAM_ALLOWED_MODULES):
             return
         for handler in ast.walk(node):
             if not isinstance(handler, ast.ExceptHandler):
@@ -412,7 +412,7 @@ class ResilienceRoutingRule(Rule):
     visit_For = _loop_check
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        if ctx.module_matches(self.ALLOWED_MODULES):
+        if module_matches(ctx.module, self.ALLOWED_MODULES):
             return
         func = node.func
         if isinstance(func, ast.Name) and func.id in self.pool_names:
@@ -452,7 +452,7 @@ class TelemetryNameRule(Rule):
     ALLOWED_MODULES = ("obs/core.py", "obs/metrics.py")
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        if ctx.module_matches(self.ALLOWED_MODULES):
+        if module_matches(ctx.module, self.ALLOWED_MODULES):
             return
         func = node.func
         if isinstance(func, ast.Name) and func.id in self._BARE_FUNCS:
@@ -504,7 +504,7 @@ class OutboundHttpRule(Rule):
     def begin_file(self, ctx: FileContext) -> None:
         self.conn_aliases: set[str] = set()
         self.urlopen_aliases: set[str] = set()
-        if ctx.module_matches(self.ALLOWED_MODULES):
+        if module_matches(ctx.module, self.ALLOWED_MODULES):
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
@@ -518,7 +518,7 @@ class OutboundHttpRule(Rule):
                                              if a.name == "urlopen"}
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        if ctx.module_matches(self.ALLOWED_MODULES):
+        if module_matches(ctx.module, self.ALLOWED_MODULES):
             return
         func = node.func
         dotted = _dotted(func).split(".")

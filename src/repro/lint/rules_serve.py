@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 
-from .engine import FileContext, Rule, register
+from .engine import FileContext, Rule, module_matches, register
 
 __all__ = ["SERVE_RULE_IDS"]
 
@@ -85,9 +85,9 @@ class ServeErrorMappingRule(Rule):
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler,
                             ctx: FileContext) -> None:
-        if not ctx.module_matches(self.SERVE_MODULES):
+        if not module_matches(ctx.module, self.SERVE_MODULES):
             return
-        if ctx.module_matches(self.TRANSPORT_MODULES):
+        if module_matches(ctx.module, self.TRANSPORT_MODULES):
             return
         if not _is_broad(node.type):
             return
@@ -103,7 +103,7 @@ class ServeErrorMappingRule(Rule):
 
     def visit_FunctionDef(self, node: ast.FunctionDef,
                           ctx: FileContext) -> None:
-        if not ctx.module_matches(self.SERVE_MODULES):
+        if not module_matches(ctx.module, self.SERVE_MODULES):
             return
         if not node.name.startswith("do_"):
             return

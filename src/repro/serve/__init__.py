@@ -2,16 +2,17 @@
 
 The serving counterpart to the batch CLI: ``repro serve --store DIR``
 exposes the thicket stores in a directory over a zero-dependency HTTP
-JSON API, built from four robustness pillars:
+JSON API, built from five robustness pillars:
 
 * **admission control** (:mod:`~repro.serve.admission`) — per-client
-  circuit breakers, a token-bucket rate limiter, and a bounded
-  concurrency semaphore in front of every work endpoint; overload
-  sheds fast with typed 429s and honest ``Retry-After`` hints;
+  circuit breakers and a token-bucket rate limiter in front of every
+  work endpoint; overload sheds fast with typed 429s and honest
+  ``Retry-After`` hints;
 * **supervised execution** (:mod:`~repro.serve.workers`) — request
   bodies run on a watchdog-supervised worker pool with per-request
-  deadlines; a hung query is abandoned, attributed, and its worker
-  replaced;
+  deadlines; its bounded queue is the one bound on work in flight (a
+  full queue sheds with a typed 429), and a hung query is abandoned,
+  attributed, and its worker replaced;
 * **memory-pressure degradation** (:mod:`~repro.serve.pressure`) —
   an RSS-watermark state machine (ok → degraded → shedding) that
   evicts caches, switches stats to approximate summaries, refuses
@@ -36,7 +37,7 @@ core (fully testable without sockets);
 
 from __future__ import annotations
 
-from .admission import AdmissionController, Ticket
+from .admission import AdmissionController
 from .http import ReproServer, make_handler
 from .idempotency import IdempotencyCache
 from .pressure import (
@@ -50,7 +51,7 @@ from .service import AnalysisService, error_payload
 from .workers import WorkerPool, WorkItem
 
 __all__ = [
-    "AdmissionController", "Ticket",
+    "AdmissionController",
     "WorkerPool", "WorkItem",
     "PressureGovernor", "STATE_OK", "STATE_DEGRADED", "STATE_SHEDDING",
     "STATE_ORDER",

@@ -101,32 +101,32 @@ def make_handler(service: AnalysisService,
                 # handler thread
                 obs_counter("serve.http.write_failures")
 
-        def _send_json_error(self, exc: BaseException) -> None:
-            status, body, headers = error_payload(exc)
-            self._send_json(status, body, headers)
+        def _exchange(self, method: str, payload: dict | None) -> None:
+            """Dispatch one parsed request and answer it.
+
+            The one step a fault-injecting subclass overrides
+            (:class:`~repro.workloads.FlakyServer`); parsing and error
+            mapping stay here.
+            """
+            self._send_json(*service.dispatch(
+                method, self.path, payload, self._client_key(),
+                dict(self.headers.items())))
 
         # -- verbs -----------------------------------------------------
         def do_GET(self) -> None:  # noqa: N802 (http.server contract)
             try:
-                status, body, headers = service.dispatch(
-                    "GET", self.path, None, self._client_key(),
-                    dict(self.headers.items()))
-                self._send_json(status, body, headers)
+                self._exchange("GET", None)
             except Exception as exc:  # pragma: transport boundary — any
                 # failure still leaves as a typed JSON error envelope
-                self._send_json_error(exc)
+                self._send_json(*error_payload(exc))
 
         def do_POST(self) -> None:  # noqa: N802 (http.server contract)
             try:
-                payload = self._read_body()
-                status, body, headers = service.dispatch(
-                    "POST", self.path, payload, self._client_key(),
-                    dict(self.headers.items()))
-                self._send_json(status, body, headers)
+                self._exchange("POST", self._read_body())
             except Exception as exc:  # pragma: transport boundary — bad
                 # JSON, oversized bodies, and surprises all map to
                 # typed JSON error envelopes instead of stack traces
-                self._send_json_error(exc)
+                self._send_json(*error_payload(exc))
 
     return _Handler
 

@@ -20,18 +20,16 @@ by the process's resident set size (:func:`read_rss_bytes`):
 
 Transitions are hysteretic (recovery requires dropping below
 ``recovery_fraction`` of the watermark) so a process hovering at a
-boundary does not flap.  The RSS reader and clock are injectable, so
+boundary does not flap.  The RSS reader is injectable, so
 every transition is deterministically testable — and chaos tests can
 stage a memory ballast by scripting the reader.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import resource
 import threading
-import time
 from typing import Callable
 
 from ..obs import counter as obs_counter
@@ -46,8 +44,6 @@ STATE_SHEDDING = "shedding"
 
 #: severity order, also the value of the ``serve.pressure.state`` gauge
 STATE_ORDER = {STATE_OK: 0, STATE_DEGRADED: 1, STATE_SHEDDING: 2}
-
-_HISTORY_CAP = 256
 
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
 
@@ -76,9 +72,8 @@ class PressureGovernor:
         ``fraction * watermark`` (default 0.9).
     interval:
         Background sampling period in seconds.
-    rss_reader / clock:
-        Injectable seams (default :func:`read_rss_bytes` and
-        ``time.monotonic``).
+    rss_reader:
+        Injectable seam (default :func:`read_rss_bytes`).
     on_transition:
         Callback ``on_transition(old_state, new_state, rss)`` fired
         (outside the state lock) on every transition — the service
@@ -88,7 +83,6 @@ class PressureGovernor:
     def __init__(self, soft_limit_bytes: float, hard_limit_bytes: float, *,
                  recovery_fraction: float = 0.9, interval: float = 0.25,
                  rss_reader: Callable[[], float] | None = None,
-                 clock: Callable[[], float] = time.monotonic,
                  on_transition: Callable[[str, str, float], None]
                  | None = None):
         if not 0 < soft_limit_bytes < hard_limit_bytes:
@@ -105,11 +99,10 @@ class PressureGovernor:
         self.recovery_fraction = float(recovery_fraction)
         self.interval = float(interval)
         self._rss_reader = rss_reader or read_rss_bytes
-        self.clock = clock
         self.on_transition = on_transition
         self._state = STATE_OK
         self.last_rss = 0.0
-        self.history: list[tuple[float, str, str, float]] = []
+        self.transitions = 0
         self._lock = threading.Lock()
         self._stop_event = threading.Event()
         self._thread: threading.Thread | None = None
@@ -134,7 +127,7 @@ class PressureGovernor:
                 "rss_bytes": self.last_rss,
                 "soft_limit_bytes": self.soft,
                 "hard_limit_bytes": self.hard,
-                "transitions": len(self.history),
+                "transitions": self.transitions,
             }
 
     # -- sampling ------------------------------------------------------
@@ -153,8 +146,7 @@ class PressureGovernor:
             transitioned = new != old
             if transitioned:
                 self._state = new
-                self.history.append((self.clock(), old, new, rss))
-                del self.history[:-_HISTORY_CAP]
+                self.transitions += 1
         if transitioned:
             obs_counter("serve.pressure.transitions")
             if self.on_transition is not None:
@@ -177,11 +169,6 @@ class PressureGovernor:
                 and rss >= self.soft * self.recovery_fraction:
             return STATE_DEGRADED
         return STATE_OK
-
-    @staticmethod
-    def collect_garbage() -> int:
-        """Run a full GC pass (used when entering ``shedding``)."""
-        return gc.collect()
 
     # -- lifecycle -----------------------------------------------------
     @property

@@ -54,6 +54,7 @@ The service also implements the server half of the
 
 from __future__ import annotations
 
+import gc
 import re
 import threading
 import time
@@ -73,7 +74,6 @@ from ..errors import (
     ServeError,
 )
 from ..obs import counter as obs_counter
-from ..obs import gauge as obs_gauge
 from ..obs import get_telemetry
 from ..obs import observe as obs_observe
 from ..obs import span as obs_span
@@ -222,7 +222,7 @@ class AnalysisService:
         elif new == STATE_SHEDDING:
             self.evict_results()
             self.evict_thickets()
-            PressureGovernor.collect_garbage()
+            gc.collect()
 
     def evict_results(self) -> int:
         """Drop the query-result cache; returns the entry count dropped."""
@@ -419,7 +419,7 @@ class AnalysisService:
         """Readiness: should a load balancer route traffic here?"""
         body: dict[str, Any] = {
             "draining": self.draining.is_set(),
-            "inflight": self.admission.inflight,
+            "inflight": self.pool.inflight,
             "datasets": len(self.datasets()),
         }
         if self.governor is not None:
@@ -453,20 +453,18 @@ class AnalysisService:
             key = ctx.idempotency_key
             if ctx.deadline is not None:
                 timeout = min(timeout, ctx.deadline)
-        ticket = self.admission.admit(client)
-        obs_gauge("serve.inflight", float(self.admission.inflight))
+        self.admission.admit(client)
         try:
-            with ticket:
-                result, replayed = self.idempotency.execute(
-                    key, lambda: self.pool.run(
-                        fn, timeout=timeout, label=endpoint))
+            result, replayed = self.idempotency.execute(
+                key, lambda: self.pool.run(
+                    fn, timeout=timeout, label=endpoint))
         except BaseException:
             # failed requests (timeouts, bad queries, internal errors)
             # count against this client's breaker, then propagate to
             # the error mapper
-            ticket.failure()
+            self.admission.breaker.record_failure(client)
             raise
-        ticket.success()
+        self.admission.breaker.record_success(client)
         return result, replayed
 
     @staticmethod

@@ -251,11 +251,16 @@ class WorkerPool:
 
     # -- lifecycle -----------------------------------------------------
     @property
+    def inflight(self) -> int:
+        """Items queued or running: the count the queue bounds."""
+        with self._lock:
+            running = sum(w.item is not None for w in self._workers)
+        return self._queue.qsize() + running
+
+    @property
     def idle(self) -> bool:
         """True when no item is queued or running."""
-        with self._lock:
-            busy = any(w.item is not None for w in self._workers)
-        return self._queue.empty() and not busy
+        return self.inflight == 0
 
     def drain(self, deadline: float = 10.0) -> bool:
         """Wait up to *deadline* seconds for in-flight work to finish.

@@ -9,8 +9,7 @@ zebra striping.
 from __future__ import annotations
 
 from ..frame import DataFrame
-from ..frame.display import format_value
-from ..frame.index import MultiIndex
+from ..frame.display import text_grid
 from .svg import SVGCanvas
 
 __all__ = ["table_svg"]
@@ -19,50 +18,9 @@ __all__ = ["table_svg"]
 def table_svg(df: DataFrame, title: str = "", max_rows: int = 40,
               font_size: int = 11, float_fmt: str = "{:.6g}") -> SVGCanvas:
     """Render *df* as an SVG table."""
-    n = min(len(df), max_rows)
-
-    # --- assemble the text grid (same logic as the text repr) ---------
-    if isinstance(df.index, MultiIndex):
-        idx_names = [str(nm) if nm is not None else ""
-                     for nm in df.index.names]
-        idx_rows = [
-            [format_value(part, float_fmt) for part in df.index.values[i]]
-            for i in range(n)
-        ]
-        for i in range(n - 1, 0, -1):
-            for lv in range(len(idx_names)):
-                if idx_rows[i][: lv + 1] == idx_rows[i - 1][: lv + 1]:
-                    idx_rows[i][lv] = ""
-                else:
-                    break
-    else:
-        idx_names = [str(df.index.name) if df.index.name is not None else ""]
-        idx_rows = [[format_value(df.index.values[i], float_fmt)]
-                    for i in range(n)]
-
+    grid, n_idx = text_grid(df, max_rows, float_fmt)
     nlevels = df.column_nlevels()
-    header_rows: list[list[str]] = []
-    for lv in range(nlevels):
-        row = list(idx_names) if lv == nlevels - 1 else [""] * len(idx_names)
-        prev = None
-        for c in df.columns:
-            parts = c if isinstance(c, tuple) else (c,)
-            cell = str(parts[lv]) if lv < len(parts) else ""
-            if lv < nlevels - 1 and cell == prev:
-                row.append("")
-            else:
-                row.append(cell)
-                prev = cell
-        header_rows.append(row)
-
-    body = [
-        idx_rows[i] + [format_value(df.column(c)[i], float_fmt)
-                       for c in df.columns]
-        for i in range(n)
-    ]
-
-    grid = header_rows + body
-    n_cols = len(idx_names) + len(df.columns)
+    n_cols = n_idx + len(df.columns)
     char_w = font_size * 0.62
     col_w = [
         max(len(row[j]) for row in grid) * char_w + 14
@@ -77,7 +35,6 @@ def table_svg(df: DataFrame, title: str = "", max_rows: int = 40,
     if title:
         svg.text(8, 20, title, size=font_size + 2)
 
-    n_idx = len(idx_names)
     y = top
     for r, row in enumerate(grid):
         is_header = r < nlevels
@@ -96,6 +53,6 @@ def table_svg(df: DataFrame, title: str = "", max_rows: int = 40,
             svg.line(8, y + row_h, 8 + sum(col_w), y + row_h,
                      stroke="#333333")
         y += row_h
-    if len(df) > n:
+    if len(df) > max_rows:
         svg.text(8, y + row_h - 7, f"... ({len(df)} rows)", size=font_size)
     return svg

@@ -33,15 +33,12 @@ kept in :attr:`FlakyServer.faults` and exported via :meth:`to_dict`.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
-from http.server import BaseHTTPRequestHandler
-from typing import Any
 
 from ..obs import counter as obs_counter
-from ..serve.http import _HTTPServer
-from ..serve.service import AnalysisService, error_payload
+from ..serve.http import _HTTPServer, make_handler
+from ..serve.service import AnalysisService
 
 __all__ = ["FlakyServer", "FLAKY_MODES"]
 
@@ -49,64 +46,32 @@ __all__ = ["FlakyServer", "FLAKY_MODES"]
 FLAKY_MODES = ("drop_connection", "http_500", "slow_body",
                "duplicate_delivery")
 
-_MAX_BODY_BYTES = 8 * 1024 * 1024
-
 
 def _make_flaky_handler(server: "FlakyServer"):
-    """Build the fault-injecting handler class bound to *server*."""
+    """Build the fault-injecting handler class bound to *server*.
 
-    class _FlakyHandler(BaseHTTPRequestHandler):
+    It is ``repro serve``'s own handler with the exchange step
+    sabotaged: body parsing, the size cap, the client key and the
+    error envelopes are the real server's.
+    """
+
+    class _FlakyHandler(make_handler(server.service)):
         """One exchange that may be sabotaged before/around dispatch."""
 
-        protocol_version = "HTTP/1.1"
         server_version = "repro-flaky"
+        _stall = 0.0
 
-        def log_message(self, format: str, *args: Any) -> None:
-            """Silence the default stderr access log."""
+        def end_headers(self) -> None:
+            super().end_headers()
+            if self._stall > 0.0:
+                # headers are out, the body dawdles: the straggler
+                # shape hedged reads are built to route around
+                server.stalled.wait(self._stall)
 
-        def _client_key(self) -> str:
-            header = self.headers.get("X-Client-Id")
-            if header:
-                return header.strip()[:128]
-            return self.client_address[0]
-
-        def _read_body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length < 0 or length > _MAX_BODY_BYTES:
-                raise ValueError(
-                    f"request body of {length} bytes exceeds the "
-                    f"{_MAX_BODY_BYTES}-byte limit")
-            raw = self.rfile.read(length) if length else b""
-            if not raw:
-                return {}
-            payload = json.loads(raw.decode("utf-8"))
-            if not isinstance(payload, dict):
-                raise ValueError("request body must be a JSON object")
-            return payload
-
-        def _send_json(self, status: int, body: dict,
-                       headers: dict | None = None,
-                       stall: float = 0.0) -> None:
-            data = json.dumps(body, sort_keys=True).encode("utf-8")
-            try:
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                for key, value in (headers or {}).items():
-                    self.send_header(key, value)
-                self.end_headers()
-                if stall > 0.0:
-                    # headers are out, the body dawdles: the straggler
-                    # shape hedged reads are built to route around
-                    server.stalled.wait(stall)
-                self.wfile.write(data)
-            except OSError:  # pragma: client went away mid-write (a
-                # hedge loser being cancelled does exactly this) — it
-                # must not take the handler thread down
-                pass
-
-        def _handle(self, method: str, payload: dict | None) -> None:
+        def _exchange(self, method: str, payload: dict | None) -> None:
             fault = server.draw_fault()
+            self._stall = server.slow_delay if fault == "slow_body" \
+                else 0.0
             if fault == "drop_connection":
                 # no status line, no body: just a dead socket
                 self.close_connection = True
@@ -121,31 +86,13 @@ def _make_flaky_handler(server: "FlakyServer"):
                               "message": "injected fault",
                               "type": "FlakyServerFault"}})
                 return
-            headers_in = dict(self.headers.items())
             if fault == "duplicate_delivery":
                 # at-least-once upstream: the same request (same
                 # idempotency key, same payload) lands twice
                 server.service.dispatch(method, self.path, payload,
-                                        self._client_key(), headers_in)
-            status, body, headers = server.service.dispatch(
-                method, self.path, payload, self._client_key(),
-                headers_in)
-            stall = server.slow_delay if fault == "slow_body" else 0.0
-            self._send_json(status, body, headers, stall=stall)
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server contract)
-            try:
-                self._handle("GET", None)
-            except Exception as exc:  # pragma: transport boundary —
-                # even the chaos server answers with typed envelopes
-                self._send_json(*error_payload(exc))
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server contract)
-            try:
-                self._handle("POST", self._read_body())
-            except Exception as exc:  # pragma: transport boundary —
-                # bad JSON and surprises map to typed envelopes
-                self._send_json(*error_payload(exc))
+                                        self._client_key(),
+                                        dict(self.headers.items()))
+            super()._exchange(method, payload)
 
     return _FlakyHandler
 

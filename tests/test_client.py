@@ -16,6 +16,7 @@ failure typed, retries bounded by the budget.
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import threading
 import time
@@ -45,12 +46,12 @@ from repro.errors import (
     TransportError,
 )
 from repro.serve import (
-    AdmissionController,
     AnalysisService,
     IdempotencyCache,
     ReproServer,
     WorkerPool,
 )
+from repro.serve.http import _MAX_BODY_BYTES
 from repro.workloads import FLAKY_MODES, FlakyServer, QUARTZ, \
     generate_rajaperf_profile
 
@@ -79,7 +80,6 @@ def _make_service(tmp_path, **kw):
     kw.setdefault("pool", WorkerPool(workers=2, queue_limit=8,
                                      task_timeout=5.0,
                                      watchdog_interval=0.05))
-    kw.setdefault("admission", AdmissionController(max_inflight=32))
     kw.setdefault("request_timeout", 5.0)
     return AnalysisService(tmp_path / "store", **kw)
 
@@ -576,7 +576,7 @@ class TestServeContract:
             assert body["error"]["code"] == "deadline_exceeded"
             # refused before queueing: nothing executed, nothing keyed
             assert svc.idempotency.executions == 0
-            assert svc.admission.inflight == 0
+            assert svc.pool.inflight == 0
         finally:
             svc.shutdown()
 
@@ -730,6 +730,44 @@ class TestClientServerE2E:
                     c.request("GET", "/v1/datasets")
                 assert isinstance(err.value, ClientError)
 
+    def test_flaky_and_real_server_share_the_400_envelope(self, tmp_path):
+        """At fault_rate=0 the fault server is ``repro serve``'s own
+        transport: an oversized body and a non-object JSON body get the
+        same typed 400 from both."""
+
+        def bad_requests(port):
+            answers = []
+            for body in (None, "[1, 2]"):
+                conn = http.client.HTTPConnection("127.0.0.1", port,
+                                                  timeout=10)
+                try:
+                    if body is None:  # announce a body over the cap
+                        conn.putrequest("POST", "/v1/query")
+                        conn.putheader("Content-Length",
+                                       str(_MAX_BODY_BYTES + 1))
+                        conn.endheaders()
+                    else:
+                        conn.request("POST", "/v1/query", body)
+                    resp = conn.getresponse()
+                    answers.append((resp.status, json.loads(resp.read())))
+                finally:
+                    conn.close()
+            return answers
+
+        with ReproServer(_make_service(tmp_path / "real"),
+                         port=0) as server:
+            real = bad_requests(server.port)
+        with FlakyServer(_make_service(tmp_path / "flaky"),
+                         fault_rate=0.0) as flaky:
+            chaos = bad_requests(flaky.port)
+        assert chaos == real
+        (big, not_object) = real
+        assert big[0] == not_object[0] == 400
+        assert big[1]["error"]["code"] == "bad_request"
+        assert "exceeds" in big[1]["error"]["message"]
+        assert not_object[1]["error"]["message"] == \
+            "request body must be a JSON object"
+
 
 @pytest.mark.slow
 class TestChaosAcceptance:
@@ -746,7 +784,6 @@ class TestChaosAcceptance:
             tmp_path,
             pool=WorkerPool(workers=4, queue_limit=64, task_timeout=10.0,
                             watchdog_interval=0.05),
-            admission=AdmissionController(max_inflight=128),
             request_timeout=10.0)
         flaky = FlakyServer(svc, modes=FLAKY_MODES, fault_rate=0.3,
                             seed=7, slow_delay=0.2)

@@ -109,6 +109,35 @@ class TestJoinOnIndex:
         out = join_on_index(left, right, how="outer")
         assert len(out) == 2
 
+    def test_outer_with_an_empty_side_fills(self):
+        empty = DataFrame({"a": np.array([], dtype=float),
+                           "s": np.array([], dtype=object)}, index=Index([]))
+        full = DataFrame({"b": [2.0, 3.0]}, index=Index(["x", "y"]))
+        out = join_on_index(empty, full, how="outer")
+        assert list(out.index) == ["x", "y"]
+        assert np.isnan(out.column("a")).all()
+        assert list(out.column("s")) == [None, None]
+        assert list(out.column("b")) == [2.0, 3.0]
+        out = join_on_index(full, empty, how="outer")
+        assert list(out.index) == ["x", "y"]
+        assert np.isnan(out.column("a")).all()
+
+    def test_left_onto_an_empty_right_fills(self):
+        left = DataFrame({"a": [1.0]}, index=Index(["x"]))
+        right = DataFrame({"b": np.array([], dtype=np.int64)},
+                          index=Index([]))
+        out = join_on_index(left, right, how="left")
+        assert list(out.index) == ["x"]
+        assert out.column("a")[0] == 1.0
+        assert np.isnan(out.column("b")[0])
+
+    def test_reindex_zero_row_frame(self):
+        out = DataFrame({"x": []}, index=[]).reindex(["a", "b"])
+        assert list(out.index) == ["a", "b"]
+        assert np.isnan(out.column("x")).all()
+        names = DataFrame({"s": np.array([], dtype=object)}, index=[])
+        assert list(names.reindex(["a"]).column("s")) == [None]
+
     def test_suffix_on_collision(self):
         left = DataFrame({"v": [1.0]}, index=Index(["x"]))
         right = DataFrame({"v": [2.0]}, index=Index(["x"]))

@@ -103,18 +103,16 @@ def ref_take(ref: Ref, positions) -> Ref:
 def ref_reindex(ref: Ref, labels: list, names: Any) -> Ref:
     positions = ref_get_indexer(ref.labels, labels)
     present = positions >= 0
-    safe = np.where(present, positions, 0)
     cols = {}
     for c, col in ref.cols.items():
-        if col.dtype.kind in "ib":
-            col = col.astype(np.float64)
-        taken = col[safe]
-        if col.dtype.kind == "f":
-            taken = taken.astype(np.float64)
-            taken[~present] = np.nan
+        # Only the rows found are gathered: the tuple code gathered
+        # position 0 for every missing row too, which raised IndexError
+        # when the frame had no rows.
+        if col.dtype.kind in "fib":
+            taken = np.full(len(labels), np.nan)
         else:
-            taken = taken.astype(object)
-            taken[~present] = None
+            taken = np.full(len(labels), None, dtype=object)
+        taken[present] = col[positions[present]].astype(taken.dtype)
         cols[c] = taken
     return Ref(list(labels), names, cols)
 

@@ -5,8 +5,9 @@ a staged multi-file fixture that must produce findings with *exact*
 lines and chains — the chain in the message is the proof of the
 violation, so it is asserted verbatim.  The incremental cache is
 covered for hits, content/ruleset invalidation, and corruption
-fallback; the SARIF reporter for 2.1.0 shape; baselines for record /
-suppress / stale-entry semantics; and the CLI for the new flags.
+fallback; the SARIF reporter for 2.1.0 shape; a tree's accepted
+findings, recorded as noqa comments, for suppress / new-finding /
+stale-entry semantics; and the CLI for the new flags.
 Finally a meta-test requires ``src/repro`` itself to be clean under
 the project pass — the gate ``scripts/check.sh`` enforces.
 """
@@ -25,14 +26,11 @@ from repro.lint import (
     EXCFLOW_RULE_IDS,
     LintCache,
     ProjectIndex,
-    apply_baseline,
     extract_summary,
     format_sarif,
-    load_baseline,
     propagate_raises,
     ruleset_signature,
     run_lint,
-    write_baseline,
 )
 
 SRC_REPRO = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -588,30 +586,35 @@ class TestSarif:
 # ----------------------------------------------------------------------
 
 class TestBaseline:
-    def bad_tree(self, tmp_path):
-        return write_tree(tmp_path, {"app.py": """\
-            import threading
-            import time
+    """A tree's accepted findings (its lint baseline) are recorded as
+    ``# repro: noqa[...]`` comments on the lines they fire on: they are
+    suppressed exactly, new findings still fail, and a recorded entry
+    that stops firing is itself a finding."""
 
-            _LOCK = threading.Lock()
+    ACCEPTED = """\
+        import threading
+        import time
 
-            def tick():
-                with _LOCK:
-                    time.sleep(0.5)
-            """})
+        _LOCK = threading.Lock()
+
+        def tick():
+            with _LOCK:
+                time.sleep(0.5)  # repro: noqa[RPC201]
+        """
 
     def test_record_then_suppress_exactly(self, tmp_path):
-        root = self.bad_tree(tmp_path)
-        baseline = tmp_path / "lint-baseline.json"
-        project_lint(root, baseline=baseline, write_baseline=True)
-        entries = load_baseline(baseline)
-        assert [(e["rule"], e["line"]) for e in entries] == [("RPC201", 8)]
-        assert project_lint(root, baseline=baseline).ok
+        root = write_tree(tmp_path, {"app.py": self.ACCEPTED})
+        assert project_lint(root).ok
+        # the entry names one rule: another rule firing on the same
+        # line is not suppressed by it
+        (root / "app.py").write_text(textwrap.dedent(
+            self.ACCEPTED.replace("noqa[RPC201]", "noqa[RPC203]")))
+        result = project_lint(root)
+        assert [(f.rule_id, f.line) for f in result.findings] == [
+            ("RPC201", 8), ("RPR000", 8)]
 
     def test_new_finding_still_fails(self, tmp_path):
-        root = self.bad_tree(tmp_path)
-        baseline = tmp_path / "lint-baseline.json"
-        project_lint(root, baseline=baseline, write_baseline=True)
+        root = write_tree(tmp_path, {"app.py": self.ACCEPTED})
         (root / "gen.py").write_text(textwrap.dedent("""\
             import threading
 
@@ -621,13 +624,11 @@ class TestBaseline:
                 with _L:
                     yield from xs
             """))
-        result = project_lint(root, baseline=baseline)
+        result = project_lint(root)
         assert [f.rule_id for f in result.findings] == ["RPC203"]
 
     def test_stale_entry_is_rpr000(self, tmp_path):
-        root = self.bad_tree(tmp_path)
-        baseline = tmp_path / "lint-baseline.json"
-        project_lint(root, baseline=baseline, write_baseline=True)
+        root = write_tree(tmp_path, {"app.py": self.ACCEPTED})
         # fix the debt: blocking call moves out of the critical section
         (root / "app.py").write_text(textwrap.dedent("""\
             import threading
@@ -638,44 +639,12 @@ class TestBaseline:
             def tick():
                 with _LOCK:
                     pass
-                time.sleep(0.5)
+                time.sleep(0.5)  # repro: noqa[RPC201]
             """))
-        (f,) = project_lint(root, baseline=baseline).findings
-        assert f.rule_id == "RPR000" and f.line == 8
-        assert "stale baseline entry" in f.message
-        assert "remove it from the baseline" in f.message
-
-    def test_corrupt_baseline_raises(self, tmp_path):
-        root = self.bad_tree(tmp_path)
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{ nope")
-        with pytest.raises(ValueError):
-            project_lint(root, baseline=bad)
-        bad.write_text(json.dumps({"schema": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            project_lint(root, baseline=bad)
-
-    def test_apply_baseline_split(self):
-        from repro.lint import Finding
-        findings = [Finding("RPC201", "a.py", 3, 0, "error", "m")]
-        entries = [{"path": "a.py", "rule": "RPC201", "line": 3},
-                   {"path": "b.py", "rule": "RPC203", "line": 9}]
-        kept, stale = apply_baseline(findings, entries)
-        assert kept == []
-        (s,) = stale
-        assert s.rule_id == "RPR000" and s.path == "b.py" and s.line == 9
-
-    def test_write_baseline_dedups_and_sorts(self, tmp_path):
-        from repro.lint import Finding
-        path = tmp_path / "b.json"
-        n = write_baseline([
-            Finding("RPC201", "b.py", 5, 0, "error", "m"),
-            Finding("RPC201", "a.py", 9, 0, "error", "m"),
-            Finding("RPC201", "b.py", 5, 4, "error", "dup"),
-        ], path)
-        assert n == 2
-        entries = load_baseline(path)
-        assert [e["path"] for e in entries] == ["a.py", "b.py"]
+        (f,) = project_lint(root).findings
+        assert f.rule_id == "RPR000" and f.line == 9
+        assert "unused suppression: RPC201" in f.message
+        assert "remove the noqa" in f.message
 
 
 # ----------------------------------------------------------------------
@@ -721,19 +690,14 @@ class TestCli:
 
     def test_baseline_roundtrip_via_cli(self, tmp_path, capsys):
         root = self.bad_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        rc = main(["lint", str(root), "--no-cache",
-                   "--baseline", str(baseline), "--write-baseline"])
+        rc = main(["lint", str(root), "--no-cache"])
+        assert rc == EXIT_LINT_FINDINGS
+        # record the accepted finding where it fires, then lint clean
+        app = root / "app.py"
+        app.write_text(app.read_text().replace(
+            "time.sleep(0.5)", "time.sleep(0.5)  # repro: noqa[RPC201]"))
+        rc = main(["lint", str(root), "--no-cache"])
         assert rc == EXIT_OK
-        assert "baseline recorded" in capsys.readouterr().err
-        rc = main(["lint", str(root), "--no-cache",
-                   "--baseline", str(baseline)])
-        assert rc == EXIT_OK
-
-    def test_write_baseline_requires_baseline(self, tmp_path):
-        root = self.bad_tree(tmp_path)
-        with pytest.raises(SystemExit):
-            main(["lint", str(root), "--write-baseline"])
 
     def test_cache_counters_in_json_report(self, tmp_path, capsys):
         root = self.bad_tree(tmp_path)
