@@ -117,7 +117,8 @@ class SchemaError(ReaderError):
 
 
 class CompositionError(ReproError, ValueError):
-    """An ensemble could not be composed from the given profiles."""
+    """An ensemble could not be composed from the given profiles, or a
+    call-graph link would give a node a second parent or a cycle."""
 
     default_stage = "compose"
 

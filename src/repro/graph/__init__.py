@@ -1,7 +1,7 @@
 """``repro.graph`` — labelled call-tree substrate (Hatchet substitute)."""
 
 from .arithmetic import combine_graphframes, divide, subtract
-from .canon import canonical_form, canonical_hash, trees_isomorphic
+from .canon import canonical_form, trees_isomorphic
 from .graph import Graph
 from .graphframe import GraphFrame
 from .node import Frame, Node, node_path
@@ -16,7 +16,6 @@ __all__ = [
     "union_graphs",
     "union_many",
     "canonical_form",
-    "canonical_hash",
     "trees_isomorphic",
     "combine_graphframes",
     "subtract",

@@ -5,7 +5,8 @@ intersect the call trees of an ensemble.  For rooted *labelled* trees,
 isomorphism is decidable in linear time via canonical forms
 (Aho-Hopcroft-Ullman): recursively canonize children, sort, and wrap
 with the node's own label.  Two trees are isomorphic (with matching
-labels) iff their canonical forms are equal.
+labels) iff their canonical forms are equal.  :meth:`Node.connect`
+keeps every graph a forest of trees, so each node is canonized once.
 
 This module is also used by the ablation benchmark comparing
 canonical-form matching against naive recursive merging.
@@ -20,27 +21,17 @@ from .node import Node
 if TYPE_CHECKING:  # pragma: no cover
     from .graph import Graph
 
-__all__ = ["canonical_form", "trees_isomorphic", "canonical_hash"]
+__all__ = ["canonical_form", "trees_isomorphic"]
 
 
-def _canon(node: Node, visited: set[int]) -> tuple:
+def _canon(node: Node) -> tuple:
     """Canonical tuple for the subtree rooted at *node*."""
-    if id(node) in visited:
-        # DAG back-reference: encode as a leaf marker so forms stay finite
-        return (node.frame._key, "<shared>")
-    visited = visited | {id(node)}
-    child_forms = sorted(_canon(c, visited) for c in node.children)
-    return (node.frame._key, tuple(child_forms))
+    return (node.frame._key, tuple(sorted(_canon(c) for c in node.children)))
 
 
 def canonical_form(graph: "Graph") -> tuple:
     """Order-independent canonical form of a whole forest."""
-    return tuple(sorted(_canon(root, set()) for root in graph.roots))
-
-
-def canonical_hash(graph: "Graph") -> int:
-    """Hash of the canonical form (fast pre-check for equality)."""
-    return hash(canonical_form(graph))
+    return tuple(sorted(_canon(root) for root in graph.roots))
 
 
 def trees_isomorphic(a: "Graph", b: "Graph") -> bool:

@@ -1,16 +1,17 @@
 """The call graph: a forest of :class:`~repro.graph.node.Node` trees.
 
-Provides traversal, structural equality, and the *union* operation that
-Thicket relies on to compose profiles: executions with different build
-settings typically produce similar call trees, so the union graph is
-the composition basis (§3.2 of the paper).
+Provides traversal, literal round-trips, copying and structural
+equality; ``Graph(roots)`` refuses a root that has a parent.  The union
+that composes profiles (the composition basis, §3.2 of the paper) is
+:mod:`repro.graph.union`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .node import Frame, Node, node_path
+from ..errors import CompositionError
+from .node import Frame, Node
 
 __all__ = ["Graph"]
 
@@ -20,6 +21,10 @@ class Graph:
 
     def __init__(self, roots: Iterable[Node]):
         self.roots = list(roots)
+        for root in self.roots:
+            if root.parent is not None:
+                raise CompositionError(f"root {root!r} has a parent, "
+                                       f"{root.parent!r}")
         self.enumerate_traverse()
 
     # ------------------------------------------------------------------
@@ -60,12 +65,8 @@ class Graph:
 
     # ------------------------------------------------------------------
     def traverse(self, order: str = "pre") -> Iterator[Node]:
-        visited: set[int] = set()
         for root in self.roots:
-            for node in root.traverse(order=order):
-                if id(node) not in visited:
-                    visited.add(id(node))
-                    yield node
+            yield from root.traverse(order)
 
     def __iter__(self) -> Iterator[Node]:
         return self.traverse()
@@ -97,26 +98,13 @@ class Graph:
     # ------------------------------------------------------------------
     def copy(self) -> tuple["Graph", dict[Node, Node]]:
         """Deep copy of the structure; returns (graph, old→new node map)."""
-        mapping: dict[Node, Node] = {}
+        from .squash import squash_graph
 
-        def clone(node: Node) -> Node:
-            if node in mapping:
-                return mapping[node]
-            new = node.copy()
-            mapping[node] = new
-            for child in node.children:
-                new.connect(clone(child))
-            return new
-
-        return Graph([clone(r) for r in self.roots]), mapping
+        return squash_graph(self, set(self.traverse()))
 
     # ------------------------------------------------------------------
     # structural identity
     # ------------------------------------------------------------------
-    def path_map(self) -> dict[tuple[Frame, ...], Node]:
-        """Map root-path → node.  Paths are unique within one profile's tree."""
-        return {node_path(n): n for n in self.traverse()}
-
     def __eq__(self, other: object) -> bool:
         """Structural equality: same shape with equal frames."""
         if not isinstance(other, Graph):
@@ -127,15 +115,3 @@ class Graph:
 
     def __hash__(self):
         raise TypeError("Graph objects are not hashable")
-
-    def union(self, other: "Graph") -> tuple["Graph", dict[Node, Node], dict[Node, Node]]:
-        """Merge two graphs on structural identity of call paths.
-
-        Returns ``(union_graph, map_self, map_other)`` where the maps
-        send nodes of the input graphs to nodes of the union graph.
-        This realizes the paper's call-tree matching step: nodes whose
-        path of frames from the root coincides are identified.
-        """
-        from .union import union_graphs
-
-        return union_graphs(self, other)

@@ -16,6 +16,7 @@ import numpy as np
 from ..frame import DataFrame, Index
 from .graph import Graph
 from .node import Node
+from .squash import squash_graph
 
 __all__ = ["GraphFrame"]
 
@@ -58,26 +59,20 @@ class GraphFrame:
     def from_literal(cls, literal: list[Mapping]) -> "GraphFrame":
         """Build a profile from a nested dict spec with ``metrics`` blocks."""
         graph = Graph.from_literal(literal)
+        nodes = graph.node_order()  # the literal's pre-order
 
-        # walk the literal and graph in the same order to collect metrics
-        rows: list[tuple[Node, dict]] = []
+        rows: list[dict] = []
 
-        def collect(spec: Mapping, node: Node) -> None:
-            rows.append((node, dict(spec.get("metrics", {}))))
-            for child_spec, child in zip(spec.get("children", []), node.children):
-                collect(child_spec, child)
+        def collect(spec: Mapping) -> None:
+            rows.append(dict(spec.get("metrics", {})))
+            for child_spec in spec.get("children", []):
+                collect(child_spec)
 
-        for spec, root in zip(literal, graph.roots):
-            collect(spec, root)
+        for spec in literal:
+            collect(spec)
 
-        nodes = [n for n, _ in rows]
-        keys: dict[str, None] = {}
-        for _, metrics in rows:
-            for k in metrics:
-                keys.setdefault(k, None)
-        data = {
-            k: [metrics.get(k, np.nan) for _, metrics in rows] for k in keys
-        }
+        keys = dict.fromkeys(k for metrics in rows for k in metrics)
+        data = {k: [metrics.get(k, np.nan) for metrics in rows] for k in keys}
         data["name"] = [n.frame.name for n in nodes]
         df = DataFrame(data, index=Index(nodes, name="node"))
         exc = [k for k in keys if "(inc)" not in k]
@@ -87,12 +82,16 @@ class GraphFrame:
     # ------------------------------------------------------------------
     def copy(self) -> "GraphFrame":
         """Deep-copies structure and data; graph nodes are re-created."""
-        new_graph, mapping = self.graph.copy()
-        df = self.dataframe.copy()
+        return self._rekeyed(*self.graph.copy(), self.dataframe.copy())
+
+    def _rekeyed(self, graph: Graph, mapping: dict[Node, Node],
+                 df: DataFrame) -> "GraphFrame":
+        """This profile's metadata over *graph*, with *df*'s rows
+        re-keyed through *mapping* (old node → node of *graph*)."""
         df.index = Index(
             [mapping[n] for n in df.index.values], name=df.index.name
         )
-        return GraphFrame(new_graph, df, metadata=dict(self.metadata),
+        return GraphFrame(graph, df, metadata=dict(self.metadata),
                           exc_metrics=list(self.exc_metrics),
                           inc_metrics=list(self.inc_metrics),
                           default_metric=self.default_metric)
@@ -114,9 +113,8 @@ class GraphFrame:
     def calculate_inclusive_metrics(self) -> None:
         """Sum each exclusive metric over subtrees → ``"<metric> (inc)"``.
 
-        Post-order accumulation; DAG nodes are counted once per parent
-        path (standard Hatchet semantics for trees, which is what our
-        profiles produce).
+        Post-order accumulation over the call tree: each node adds its
+        children's inclusive values to its own.
         """
         nodes = self.graph.node_order()
         pos = {n: i for i, n in enumerate(self.dataframe.index.values)}
@@ -163,45 +161,13 @@ class GraphFrame:
             (bool(predicate(row)) for _, row in self.dataframe.iterrows()),
             dtype=bool, count=len(self.dataframe),
         )
-        kept_nodes = {n for n, m in zip(self.dataframe.index.values, keep_mask) if m}
         if not squash:
             out = self.shallow_copy()
             out.dataframe = out.dataframe[keep_mask]
             return out
-        return self.squash(kept_nodes, keep_mask)
-
-    def squash(self, kept_nodes: set[Node], keep_mask: np.ndarray) -> "GraphFrame":
-        """Rebuild the graph over *kept_nodes*, re-parenting across gaps."""
-        mapping: dict[Node, Node] = {}
-        new_roots: list[Node] = []
-
-        def rebuild(node: Node, nearest_kept: Node | None) -> None:
-            new_parent = nearest_kept
-            if node in kept_nodes:
-                clone = mapping.get(node)
-                if clone is None:
-                    clone = node.copy()
-                    mapping[node] = clone
-                    if nearest_kept is None:
-                        new_roots.append(clone)
-                    else:
-                        nearest_kept.connect(clone)
-                new_parent = clone
-            for child in node.children:
-                rebuild(child, new_parent)
-
-        for root in self.graph.roots:
-            rebuild(root, None)
-
-        new_graph = Graph(new_roots)
-        df = self.dataframe[keep_mask]
-        df.index = Index(
-            [mapping[n] for n in df.index.values], name=df.index.name
-        )
-        return GraphFrame(new_graph, df, metadata=dict(self.metadata),
-                          exc_metrics=list(self.exc_metrics),
-                          inc_metrics=list(self.inc_metrics),
-                          default_metric=self.default_metric)
+        kept_nodes = {n for n, m in zip(self.dataframe.index.values, keep_mask) if m}
+        return self._rekeyed(*squash_graph(self.graph, kept_nodes),
+                             self.dataframe[keep_mask])
 
     # ------------------------------------------------------------------
     def tree(self, metric_column: str | None = None, precision: int = 3,

@@ -2,8 +2,9 @@
 
 A :class:`Frame` is the identity of a node — an immutable, ordered
 attribute mapping (at minimum ``name``, usually also ``type``).  A
-:class:`Node` places a frame in a graph: it stores parent and child
-links and a stable numeric id used for deterministic ordering.
+:class:`Node` places a frame in a call tree: it stores its one parent,
+its children and a stable numeric id used for deterministic ordering.
+:meth:`Node.connect`, the only way to link nodes, keeps graphs trees.
 
 Nodes are used directly as row labels in the performance-data table
 (the paper's *(call tree node, profile index)* key), so they hash by
@@ -13,6 +14,8 @@ identity and sort by ``(name, nid)``.
 from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
+
+from ..errors import CompositionError
 
 __all__ = ["Frame", "Node", "node_path"]
 
@@ -58,29 +61,37 @@ class Frame:
 
 
 class Node:
-    """A node in a call graph; identity-hashed, ordered by (name, nid)."""
+    """A node in a call tree; identity-hashed, ordered by (name, nid)."""
 
-    __slots__ = ("frame", "parents", "children", "_nid")
+    __slots__ = ("frame", "parent", "children", "_nid")
 
     def __init__(self, frame: Frame, nid: int = -1):
         self.frame = frame
-        self.parents: list[Node] = []
+        self.parent: Node | None = None
         self.children: list[Node] = []
         self._nid = nid
 
     # -- structure -----------------------------------------------------
-    def add_child(self, child: "Node") -> None:
-        if child not in self.children:
-            self.children.append(child)
-
-    def add_parent(self, parent: "Node") -> None:
-        if parent not in self.parents:
-            self.parents.append(parent)
-
     def connect(self, child: "Node") -> "Node":
-        """Link *child* under self (both directions); returns the child."""
-        self.add_child(child)
-        child.add_parent(self)
+        """Link *child* under self (both directions); returns the child.
+
+        Does nothing when *child* is already under self.  Raises
+        :class:`~repro.errors.CompositionError` (a ``ValueError``) when
+        *child* has another parent, or is self or the root of self's
+        tree: a node has one parent and no cycles.
+        """
+        if child.parent is self:
+            return child
+        if child.parent is not None:
+            raise CompositionError(f"{child!r} already has a parent, "
+                                   f"{child.parent!r}")
+        # a parentless child is an ancestor of self only as the root of
+        # self's tree, which a childless node other than self cannot be
+        if child is self or (child.children and _root(self) is child):
+            raise CompositionError(f"connecting {child!r} under "
+                                   f"{self!r} would close a cycle")
+        child.parent = self
+        self.children.append(child)
         return child
 
     @property
@@ -88,25 +99,13 @@ class Node:
         return self.frame.name
 
     def traverse(self, order: str = "pre") -> Iterator["Node"]:
-        """Depth-first traversal of the subtree rooted here.
-
-        Visits each node once even when the graph is a DAG (a node with
-        several parents appears a single time).
-        """
-        visited: set[int] = set()
-
-        def _walk(node: "Node") -> Iterator["Node"]:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            if order == "pre":
-                yield node
-            for child in node.children:
-                yield from _walk(child)
-            if order == "post":
-                yield node
-
-        yield from _walk(self)
+        """Depth-first traversal of the subtree rooted here."""
+        if order == "pre":
+            yield self
+        for child in self.children:
+            yield from child.traverse(order)
+        if order == "post":
+            yield self
 
     # -- ordering ------------------------------------------------------
     # Equality and hashing are the object defaults (identity), which
@@ -126,13 +125,17 @@ class Node:
         return Node(self.frame, nid=self._nid)
 
 
+def _root(node: Node) -> Node:
+    while node.parent is not None:
+        node = node.parent
+    return node
+
+
 def node_path(node: Node) -> tuple[Frame, ...]:
-    """Frames from the root down to *node* (first-parent path in a DAG)."""
+    """Frames from the root down to *node*."""
     parts: list[Frame] = []
     cur: Node | None = node
-    seen: set[int] = set()
-    while cur is not None and id(cur) not in seen:
-        seen.add(id(cur))
+    while cur is not None:
         parts.append(cur.frame)
-        cur = cur.parents[0] if cur.parents else None
+        cur = cur.parent
     return tuple(reversed(parts))

@@ -4,7 +4,8 @@ Given a set of nodes to keep, build a **new** forest of fresh node
 objects where children of dropped nodes are re-parented to their
 nearest kept ancestor.  The old→new mapping lets callers re-key
 dataframes indexed by the old nodes.  Used by Thicket's intersection
-composition and by call-path querying.
+composition, call-path querying, ``GraphFrame.filter`` and (keeping
+every node) ``Graph.copy``.
 """
 
 from __future__ import annotations
@@ -20,27 +21,16 @@ def squash_graph(graph: Graph, keep: set[Node]) -> tuple[Graph, dict[Node, Node]
     mapping: dict[Node, Node] = {}
     new_roots: list[Node] = []
 
-    def clone_of(node: Node) -> Node:
-        clone = mapping.get(node)
-        if clone is None:
-            clone = node.copy()
-            mapping[node] = clone
-        return clone
-
     def rebuild(node: Node, nearest_kept: Node | None) -> None:
-        nxt = nearest_kept
         if node in keep:
-            clone = clone_of(node)
+            clone = mapping[node] = node.copy()
             if nearest_kept is None:
-                if clone not in new_roots:
-                    new_roots.append(clone)
+                new_roots.append(clone)
             else:
-                parent_clone = nearest_kept
-                if clone not in parent_clone.children:
-                    parent_clone.connect(clone)
-            nxt = clone
+                nearest_kept.connect(clone)
+            nearest_kept = clone
         for child in node.children:
-            rebuild(child, nxt)
+            rebuild(child, nearest_kept)
 
     for root in graph.roots:
         rebuild(root, None)

@@ -19,7 +19,8 @@ __all__ = ["union_graphs", "union_many"]
 
 
 def union_graphs(a: Graph, b: Graph) -> tuple[Graph, dict[Node, Node], dict[Node, Node]]:
-    """Union of two graphs; see :meth:`repro.graph.graph.Graph.union`."""
+    """Union of two graphs: ``(union, map_a, map_b)``, where the maps
+    send each input's nodes to the union node of the same call path."""
     union, maps = union_many([a, b])
     return union, maps[0], maps[1]
 

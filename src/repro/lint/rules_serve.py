@@ -22,10 +22,9 @@ __all__ = ["SERVE_RULE_IDS"]
 
 _BROAD = {"Exception", "BaseException"}
 
-#: the blessed exception→response mapping entry points; a broad
-#: handler in serve/ must funnel through one of these (or re-raise)
-_MAPPING_HELPERS = {"error_payload", "_send_json_error",
-                    "send_json_error", "map_error"}
+#: the exception→response mapper (``serve/service.py``); a broad
+#: handler in serve/ must funnel through it (or re-raise)
+_MAPPER = "error_payload"
 
 
 def _dotted_tail(node: ast.AST) -> str:
@@ -47,11 +46,11 @@ def _is_broad(type_node: ast.AST | None) -> bool:
 
 
 def _calls_mapper(body: list[ast.stmt]) -> bool:
-    """Does any call in *body* route through a mapping helper?"""
+    """Does any call in *body* route through the mapper?"""
     for stmt in body:
         for sub in ast.walk(stmt):
             if isinstance(sub, ast.Call) \
-                    and _dotted_tail(sub.func) in _MAPPING_HELPERS:
+                    and _dotted_tail(sub.func) == _MAPPER:
                 return True
     return False
 
@@ -98,7 +97,7 @@ class ServeErrorMappingRule(Rule):
         ctx.report(self, node,
                    f"broad except catching {caught} in a serve module "
                    f"must re-raise or map the exception through "
-                   f"{sorted(_MAPPING_HELPERS)} so the client receives "
+                   f"{_MAPPER}() so the client receives "
                    f"a typed JSON error")
 
     def visit_FunctionDef(self, node: ast.FunctionDef,
@@ -119,7 +118,7 @@ class ServeErrorMappingRule(Rule):
             ctx.report(self, node,
                        f"HTTP verb handler {node.name} must wrap its "
                        f"whole body in try/except Exception mapping to "
-                       f"a typed JSON error ({sorted(_MAPPING_HELPERS)});"
+                       f"a typed JSON error ({_MAPPER}());"
                        f" an exception escaping do_* tears the "
                        f"connection instead of answering it")
             return

@@ -56,12 +56,8 @@ def graph_depth(graph) -> int:
     """Length (in nodes) of the longest root→leaf downward path."""
     best = 0
     stack = [(root, 1) for root in graph.roots]
-    seen: set[int] = set()
     while stack:
         node, depth = stack.pop()
-        if id(node) in seen:  # DAG-shaped graphs: longest simple prefix
-            continue
-        seen.add(id(node))
         best = max(best, depth)
         for child in node.children:
             stack.append((child, depth + 1))

@@ -182,9 +182,8 @@ def _assemble(checked: _Checked, source: Any = None) -> GraphFrame:
         parent = spec.get("parent")
         if parent is None:
             roots.append(node)
-        else:  # a fresh node: link it without connect()'s membership scans
-            node.parents.append(nodes[parent])
-            nodes[parent].children.append(node)
+        else:
+            nodes[parent].connect(node)
         nodes.append(node)
     graph = Graph(roots)
 

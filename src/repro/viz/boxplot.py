@@ -13,15 +13,10 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .color import CATEGORICAL
+from .histogram import node_metric_values
 from .svg import SVGCanvas
 
 __all__ = ["boxplot_svg", "boxplot_text"]
-
-
-def _node_values(tk, node_name: str, column: Hashable) -> np.ndarray:
-    from .histogram import node_metric_values
-
-    return node_metric_values(tk, node_name, column)
 
 
 def _components(values: np.ndarray, whisker: float = 1.5) -> dict:
@@ -45,7 +40,7 @@ def boxplot_text(tk, node_names: Sequence[str], column: Hashable,
     comps = {}
     all_vals: list[float] = []
     for name in node_names:
-        values = _node_values(tk, name, column)
+        values = node_metric_values(tk, name, column)
         if len(values) == 0:
             continue
         comps[name] = _components(values)
@@ -81,7 +76,7 @@ def boxplot_svg(tk, node_names: Sequence[str], column: Hashable,
     comps = {}
     all_vals: list[float] = []
     for name in node_names:
-        values = _node_values(tk, name, column)
+        values = node_metric_values(tk, name, column)
         if len(values):
             comps[name] = _components(values)
             all_vals.extend(values)

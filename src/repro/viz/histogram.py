@@ -18,15 +18,14 @@ __all__ = ["histogram_counts", "histogram_text", "histogram_svg",
 
 
 def node_metric_values(tk, node_name: str, column: Hashable) -> np.ndarray:
-    """All per-profile values of *column* for the node named *node_name*."""
-    values = []
-    col = tk.dataframe.column(column)
-    for i, t in enumerate(tk.dataframe.index.values):
-        if t[0].frame.name == node_name:
-            v = col[i]
-            if v is not None and np.isfinite(v):
-                values.append(float(v))
-    return np.asarray(values)
+    """All per-profile values of *column* for the node named *node_name*,
+    in row order."""
+    part = tk.dataframe.index.partition(0)
+    named = np.fromiter((n.frame.name == node_name for n in part.uniques),
+                        dtype=bool, count=len(part.uniques))
+    cells = tk.dataframe.column(column)[named[part.codes]]
+    return np.asarray([float(v) for v in cells
+                       if v is not None and np.isfinite(v)])
 
 
 def histogram_counts(values: np.ndarray, bins: int = 10

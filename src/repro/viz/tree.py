@@ -55,8 +55,7 @@ def render_tree(graph, dataframe: DataFrame, metric: str | None,
                 txt = _colorize(txt, (v - vmin) / span)
         return f"{txt} {node.frame.name}"
 
-    def walk(node, prefix: str, is_last: bool, is_root: bool,
-             visited: set[int]) -> None:
+    def walk(node, prefix: str, is_last: bool, is_root: bool) -> None:
         if is_root:
             lines.append(label(node))
             child_prefix = ""
@@ -64,13 +63,9 @@ def render_tree(graph, dataframe: DataFrame, metric: str | None,
             connector = "└─ " if is_last else "├─ "
             lines.append(prefix + connector + label(node))
             child_prefix = prefix + ("   " if is_last else "│  ")
-        if id(node) in visited:
-            return
-        visited.add(id(node))
         for i, child in enumerate(node.children):
-            walk(child, child_prefix, i == len(node.children) - 1, False, visited)
+            walk(child, child_prefix, i == len(node.children) - 1, False)
 
-    visited: set[int] = set()
     for root in graph.roots:
-        walk(root, "", True, True, visited)
+        walk(root, "", True, True)
     return "\n".join(lines)

@@ -52,13 +52,38 @@ class TestNode:
     def test_connect_builds_both_links(self):
         a, b = Node(Frame(name="a")), Node(Frame(name="b"))
         a.connect(b)
-        assert b in a.children and a in b.parents
+        assert b in a.children and b.parent is a
 
     def test_connect_idempotent(self):
         a, b = Node(Frame(name="a")), Node(Frame(name="b"))
         a.connect(b)
         a.connect(b)
         assert len(a.children) == 1
+
+    def test_connect_refuses_second_parent(self):
+        a, b, c = (Node(Frame(name=n)) for n in "abc")
+        a.connect(c)
+        with pytest.raises(ValueError, match="already has a parent"):
+            b.connect(c)
+        assert c.parent is a and b.children == []
+
+    def test_connect_refuses_self(self):
+        a = Node(Frame(name="a"))
+        with pytest.raises(ValueError, match="cycle"):
+            a.connect(a)
+        assert a.parent is None and a.children == []
+
+    def test_connect_refuses_root_of_own_tree(self):
+        g = tree(SIMPLE)
+        main, baz = g.find("main"), g.find("baz")
+        with pytest.raises(ValueError, match="cycle"):
+            baz.connect(main)
+        assert main.parent is None and baz.children == []
+
+    def test_connect_accepts_other_trees_root(self):
+        a, b = tree(SIMPLE), tree(SIMPLE)
+        a.find("baz").connect(b.roots[0])
+        assert b.roots[0].parent is a.find("baz")
 
     def test_identity_hash(self):
         a1, a2 = Node(Frame(name="a")), Node(Frame(name="a"))
@@ -89,6 +114,11 @@ class TestNode:
 
 
 class TestGraph:
+    def test_root_with_parent_refused(self):
+        g = tree(SIMPLE)
+        with pytest.raises(ValueError, match="has a parent"):
+            Graph([g.find("foo")])
+
     def test_len_and_iteration(self):
         g = tree(SIMPLE)
         assert len(g) == 4

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import Graph, canonical_form, trees_isomorphic, union_many
+from repro.graph.squash import squash_graph
+from repro.readers.caliper import read_cali_dict
 
 # --- random labelled tree generator -----------------------------------
 
@@ -84,9 +86,44 @@ def test_union_contains_both_inputs_node_counts(fa, fb):
     assert len(u) >= len(paths_a)
 
 
-@settings(max_examples=60)
-@given(forests)
-def test_traversal_visits_each_node_once(forest):
-    g = Graph.from_literal(forest)
-    nodes = list(g.traverse())
+def cali_payload(forest):
+    """The cali-JSON dict of a literal forest: nodes in pre-order."""
+    nodes = []
+
+    def add(spec, parent):
+        nodes.append({"label": spec["frame"]["name"], "parent": parent})
+        here = len(nodes) - 1
+        for child in spec.get("children", []):
+            add(child, here)
+
+    for spec in forest:
+        add(spec, None)
+    return {"nodes": nodes, "columns": ["path", "time"],
+            "data": [[i, 1.0] for i in range(len(nodes))]}
+
+
+def assert_forest_of_trees(graph):
+    nodes = list(graph.traverse())
     assert len(nodes) == len(set(nodes))
+    assert ({id(n) for n in nodes if n.parent is None}
+            == {id(r) for r in graph.roots})
+    for node in nodes:
+        if node.parent is not None:
+            assert any(c is node for c in node.parent.children)
+
+
+@settings(max_examples=60)
+@given(forests, forests, st.data())
+def test_traversal_visits_each_node_once(forest, other, data):
+    # every builder of graphs yields trees: the reader, the literal
+    # constructor, the union, squash and copy
+    g = Graph.from_literal(forest)
+    keep = {n for n in g.traverse() if data.draw(st.booleans())}
+    built = [read_cali_dict(cali_payload(forest)).graph, g,
+             union_many([g, Graph.from_literal(other)])[0],
+             squash_graph(g, keep)[0], g.copy()[0]]
+    for graph in built:
+        assert_forest_of_trees(graph)
+    shape = [[(n.name, n.parent and n.parent._nid) for n in graph.traverse()]
+             for graph in (built[0], g, built[4])]
+    assert shape[0] == shape[1] == shape[2]

@@ -826,7 +826,7 @@ class TestServeErrorMapping:
                     try:
                         self.work()
                     except Exception as exc:
-                        self._send_json_error(exc)
+                        self._send_json(*error_payload(exc))
                         raise RuntimeError("escaped the socket layer")
             """, rel="repro/serve/http.py", select=["RPR009"]), "RPR009")
         assert "socket layer" in f.message
@@ -839,9 +839,25 @@ class TestServeErrorMapping:
                         status, body, headers = self.dispatch()
                         self._send_json(status, body, headers)
                     except Exception as exc:
-                        self._send_json_error(exc)
+                        self._send_json(*error_payload(exc))
             """, rel="repro/serve/http.py", select=["RPR009"])
         assert result.findings == []
+
+    def test_undefined_mapper_names_flagged(self, tmp_path):
+        # error_payload is the one mapper; names that nothing in
+        # serve/ defines do not satisfy the rule
+        for helper in ("self._send_json_error", "send_json_error",
+                       "map_error"):
+            result = lint_source(tmp_path, f"""\
+                class Handler:
+                    def do_GET(self):
+                        try:
+                            self.dispatch()
+                        except Exception as exc:
+                            {helper}(exc)
+                """, rel="repro/serve/http.py", select=["RPR009"])
+            assert {f.rule_id for f in result.findings} == {"RPR009"}
+            assert len(result.findings) == 2  # handler shape + swallow
 
     def test_reraising_broad_except_in_serve_clean(self, tmp_path):
         result = lint_source(tmp_path, """\

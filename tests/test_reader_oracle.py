@@ -304,7 +304,8 @@ def _same_cells(a: np.ndarray, b: np.ndarray) -> bool:
 def _tree(graph: Graph) -> list:
     order = list(graph.traverse())
     pos = {node: i for i, node in enumerate(order)}
-    return [(n.frame.attrs, n._nid, [pos[p] for p in n.parents])
+    return [(n.frame.attrs, n._nid,
+             None if n.parent is None else pos[n.parent])
             for n in order]
 
 
