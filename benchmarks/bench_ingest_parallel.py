@@ -37,7 +37,7 @@ def clean_paths(tmp_path_factory):
 
 
 def test_bench_ingest_serial(benchmark, clean_paths):
-    """Baseline: the historical inline path (policy=None)."""
+    """Baseline: serial ingest on the calling process (policy=None)."""
     tk, report = benchmark(load_ensemble, clean_paths, on_error="strict")
     assert len(tk.profile) == N_PROFILES
     assert report.jobs == 1

@@ -108,7 +108,8 @@ echo "== durable-store recovery smoke =="
 # Save a thicket, corrupt the store, and require `repro validate` to
 # flag it with the dedicated exit code; then interrupt a checkpointed
 # ingest mid-campaign and require the re-run to resume the remainder
-# and compose the same thicket.
+# and compose the same thicket, and require a serial re-run to resume
+# every profile of a jobs=2 run's checkpoint.
 STORE_DIR="$SCRATCH/store"
 mkdir "$STORE_DIR"
 python -m repro ingest "$OBS_CAMPAIGN" \
@@ -156,6 +157,7 @@ from pathlib import Path
 
 import repro.ingest.pipeline as pipe
 from repro.ingest import load_ensemble
+from repro.resilience import ResiliencePolicy
 
 campaign = sorted(Path(sys.argv[1]).glob("*.json"))
 ckpt = Path(sys.argv[2]) / "ckpt"
@@ -183,6 +185,17 @@ assert report.n_resumed == 3, report.n_resumed
 assert tk.to_json() == baseline, "resumed thicket differs from from-scratch"
 print(f"interrupted ingest resumed {report.n_resumed} profile(s), "
       f"re-read {len(campaign) - report.n_resumed}, thicket identical")
+
+# a pool run journals the same payloads a serial run does, so a serial
+# re-run resumes all of them and composes the serial thicket
+pool_ckpt = Path(sys.argv[2]) / "pool-ckpt"
+load_ensemble(campaign, checkpoint=pool_ckpt,
+              policy=ResiliencePolicy(jobs=2))
+tk, report = load_ensemble(campaign, checkpoint=pool_ckpt)
+assert report.n_resumed == len(campaign) == 8, report.n_resumed
+assert tk.to_json() == baseline, "pool checkpoint resumes a different thicket"
+print(f"jobs=2 checkpoint resumed {report.n_resumed} profile(s) serially, "
+      f"thicket identical")
 PY
 
 echo "== chaos smoke (supervised parallel ingest) =="

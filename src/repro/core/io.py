@@ -19,8 +19,7 @@ makes the saved file the unit of durable state.  The current format,
   :class:`repro.errors.CorruptStoreError`.
 * **Whole-column encoding** — :func:`encode_table` converts each
   column in one pass and transposes the columns into rows;
-  :func:`decode_table` transposes back.  Checkpoint payloads
-  (:mod:`repro.ingest.checkpoint`) use the same pair.
+  :func:`decode_table` transposes back.
 * **Typed dtype hints** — each table records its float columns so a
   sparse thicket's ``NaN`` cells (stored as ``null``) come back as
   ``np.nan`` in a float column, even when the column is entirely NaN.

@@ -1,12 +1,14 @@
 """Crash-tolerant ingestion checkpoints: resume instead of re-read.
 
 ``load_ensemble(..., checkpoint=DIR)`` records every per-profile
-outcome in an append-only JSONL *journal* plus one incrementally saved
-GraphFrame payload per successful profile.  A re-run after a crash (or
-a deliberate interruption) resumes from the journal: already-ingested
-profiles are rebuilt from their saved payloads (no re-read, no
-re-validate of the raw file) and already-quarantined profiles are
-skipped outright.
+outcome of a path source in an append-only JSONL *journal* plus, per
+successful profile, the decoded cali-JSON payload it was built from.
+A re-run after a crash (or a deliberate interruption) resumes from the
+journal: already-ingested profiles are rebuilt from their saved
+payloads by the same validate → build step a fresh read goes through
+(no re-read of the source, no re-run of an injected fault) and
+already-quarantined profiles are skipped outright.  Payload dicts and
+GraphFrames passed to ``load_ensemble`` are never journaled.
 
 Crash tolerance of the journal itself:
 
@@ -23,7 +25,7 @@ Crash tolerance of the journal itself:
 Layout of a checkpoint directory::
 
     <dir>/journal.jsonl            one header + one record per profile
-    <dir>/profiles/<sha256[:24]>.json   saved GraphFrame payloads
+    <dir>/profiles/<sha256[:24]>.json   saved cali-JSON payloads
 """
 
 from __future__ import annotations
@@ -34,63 +36,16 @@ import logging
 import os
 from pathlib import Path
 
-from ..core.io import decode_table, encode_table, jsonable
 from ..errors import PersistenceError
-from ..graph import GraphFrame
 from ..ioutil import atomic_write_text, canonical_json, crc32_of, fsync_path
 from ..obs import counter as obs_counter
 from ..obs import span as obs_span
 
-__all__ = ["CheckpointJournal", "JOURNAL_FORMAT", "PAYLOAD_FORMAT"]
+__all__ = ["CheckpointJournal", "JOURNAL_FORMAT"]
 
 JOURNAL_FORMAT = "repro-journal-v1"
-PAYLOAD_FORMAT = "repro-gf-v1"
 
 logger = logging.getLogger("repro.ingest.checkpoint")
-
-
-# ----------------------------------------------------------------------
-# GraphFrame <-> JSON payload
-# ----------------------------------------------------------------------
-
-def _gf_to_payload(gf: GraphFrame) -> dict:
-    """Serialize a built GraphFrame losslessly.
-
-    Same codec as the thicket store (:func:`repro.core.io.encode_table`):
-    the graph as a nested literal, the node-indexed table with pre-order
-    node positions, encoded a whole column at a time, and explicit
-    float-column marks so NaN cells (stored as ``null``) round-trip as
-    ``np.nan``.
-    """
-    node_pos = {n: i for i, n in enumerate(gf.graph.node_order())}
-    return {
-        "format": PAYLOAD_FORMAT,
-        "graph": gf.graph.to_literal(),
-        "rows": [node_pos[n] for n in gf.dataframe.index.values],
-        **encode_table(gf.dataframe),
-        "metadata": {str(k): jsonable(v) for k, v in gf.metadata.items()},
-        "exc_metrics": list(gf.exc_metrics),
-        "inc_metrics": list(gf.inc_metrics),
-        "default_metric": gf.default_metric,
-    }
-
-
-def _payload_to_gf(payload: dict) -> GraphFrame:
-    from ..frame import Index
-    from ..graph import Graph
-
-    if payload.get("format") != PAYLOAD_FORMAT:
-        raise PersistenceError(
-            f"not a checkpoint GraphFrame payload "
-            f"(format={payload.get('format')!r})", stage="journal")
-    graph = Graph.from_literal(payload["graph"])
-    nodes = graph.node_order()
-    df = decode_table(payload, Index([nodes[i] for i in payload["rows"]],
-                                     name="node"))
-    return GraphFrame(graph, df, metadata=dict(payload.get("metadata", {})),
-                      exc_metrics=list(payload.get("exc_metrics", [])),
-                      inc_metrics=list(payload.get("inc_metrics", [])),
-                      default_metric=payload.get("default_metric"))
 
 
 # ----------------------------------------------------------------------
@@ -210,18 +165,18 @@ class CheckpointJournal:
         return self.records.get(key)
 
     def payload_path(self, key: str) -> Path:
-        """Where *key*'s saved GraphFrame payload lives (content-hashed)."""
+        """Where *key*'s saved payload lives (content-hashed)."""
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:24]
         return self.profiles_dir / f"{digest}.json"
 
-    def record_ok(self, key: str, gf: GraphFrame) -> None:
+    def record_ok(self, key: str, payload: dict) -> None:
         """Durably record a successful ingest: payload first, then the
         journal line (so an ``ok`` record always has its payload)."""
         path = self.payload_path(key)
         # key order is semantic here: the metadata mapping must round-trip
         # in insertion order so a resumed profile composes byte-identically
         atomic_write_text(path, json.dumps(  # repro: noqa[RPR005]
-            _gf_to_payload(gf), separators=(",", ":")))
+            payload, separators=(",", ":")))
         self._append({"kind": "profile", "key": key, "status": "ok",
                       "payload": path.name})
         obs_counter("ingest.checkpoint.recorded")
@@ -234,26 +189,18 @@ class CheckpointJournal:
                       "error_type": error_type, "error": error})
         obs_counter("ingest.checkpoint.recorded")
 
-    def load_gf(self, record: dict) -> GraphFrame | None:
-        """Rebuild the saved GraphFrame for an ``ok`` record.
-
-        Returns ``None`` (caller re-ingests from the raw source) when
-        the payload file is missing or unreadable — a checkpoint is a
-        cache of work, never an additional way to lose it.
-        """
-        name = record.get("payload")
-        path = self.profiles_dir / name if name else None
-        if path is None or not path.exists():
-            return None
+    def load_payload(self, record: dict) -> dict:
+        """The saved payload of an ``ok`` record; a missing or
+        unreadable file is a :class:`PersistenceError`, on which the
+        caller re-ingests the raw source — a checkpoint is a cache of
+        work, never an additional way to lose it."""
+        path = self.profiles_dir / str(record.get("payload"))
         try:
-            return _payload_to_gf(json.loads(path.read_text()))
-        except (OSError, json.JSONDecodeError, PersistenceError, KeyError,
-                TypeError, ValueError) as e:
-            logger.warning(
-                "checkpoint payload %s unreadable (%s: %s); re-ingesting",
-                path, type(e).__name__, e)
-            obs_counter("ingest.checkpoint.payload_invalid")
-            return None
+            return json.loads(path.read_text())
+        except (OSError, ValueError) as e:
+            raise PersistenceError(
+                f"checkpoint payload unreadable: {type(e).__name__}: {e}",
+                source=path, stage="journal") from e
 
     def close(self) -> None:
         """Close the journal handle and fsync the checkpoint directory."""

@@ -19,30 +19,37 @@ profile through four stages and applies a per-profile *error policy*:
 
 Transient I/O errors (``OSError`` other than a missing file) are
 retried under the policy's jittered exponential backoff before the
-profile is given up on; serial and parallel ingest share one read, one
-build and one outcome fold.  Colliding profile ids are repaired
-deterministically under ``skip``/``collect`` (and recorded in the
-report) instead of aborting the whole ensemble.
+profile is given up on.  Every profile read from a file becomes a
+decoded cali-JSON payload first, and every payload is built into a
+GraphFrame on the main process by the one :func:`_build`, whether it
+was just read, came back from a pool worker or was saved by a
+checkpoint.  Colliding profile ids are repaired deterministically
+under ``skip``/``collect`` (and recorded in the report) instead of
+aborting the whole ensemble.
 
-With ``checkpoint=DIR`` every per-profile outcome is additionally
-journaled to a crash-tolerant JSONL file plus incrementally saved
-GraphFrame payloads (:mod:`repro.ingest.checkpoint`); a re-run after
-an interruption resumes from the journal, skipping already-ingested
-and already-quarantined profiles.  Resume counts surface in the
-:class:`IngestReport` and the ``ingest.checkpoint.*`` obs counters.
-A checkpointed run installs a :class:`~repro.resilience.SignalGuard`
-so SIGINT/SIGTERM can never tear an in-flight journal record.
+With ``checkpoint=DIR`` every outcome of a path source is additionally
+journaled to a crash-tolerant JSONL file, and each loaded profile's
+payload saved beside it (:mod:`repro.ingest.checkpoint`); a re-run
+after an interruption resumes from the journal, rebuilding
+already-ingested profiles from their payloads and skipping
+already-quarantined ones.  Payload dicts and GraphFrames given as
+sources are built or used as given, never journaled.  Resume counts
+surface in the :class:`IngestReport` and the ``ingest.checkpoint.*``
+obs counters.  A checkpointed run installs a
+:class:`~repro.resilience.SignalGuard` so SIGINT/SIGTERM can never
+tear an in-flight journal record.
 
 With a supervised :class:`~repro.resilience.ResiliencePolicy`
-(``policy=ResiliencePolicy(jobs=4, task_timeout=5)``) the read →
-validate → build stages fan out across a
+(``policy=ResiliencePolicy(jobs=4, task_timeout=5)``) the read and
+validate stages fan out across a
 :class:`~repro.resilience.SupervisedExecutor` worker pool — per-task
 wall-clock deadlines kill hung readers, crashed workers are replaced
 and their profiles quarantined as typed
 :class:`~repro.errors.ExecutionError`\\ s, a per-directory circuit
 breaker converts repeated source failures into fast quarantines — and
-results fold back in input order, so composition (which stays on the
-main process) is byte-identical to a serial run.
+the checked payloads come back in input order to be built and
+composed on the main process, so the result is byte-identical to a
+serial run.
 """
 
 from __future__ import annotations
@@ -131,8 +138,8 @@ def _trip_fault(payload: Any, source: str, sleep) -> Any:
     (a *compute* regression rather than an I/O stall — the perf
     sentinel's staged fault); ``hang`` sleeps past any sane timeout
     then fails; ``worker_crash`` kills the worker process outright
-    (simulated as a typed error when running inline on the main
-    process, which must never die).
+    (simulated as a typed error on the main process, which must never
+    die).
     """
     if not isinstance(payload, Mapping) or FAULT_KEY not in payload:
         return payload
@@ -186,14 +193,12 @@ def _read_payload(path: Path) -> Any:
                           source=path) from e
 
 
-def _build(payload: Any, source: str, sleep,
+def _build(payload: Any, source: str,
            timings: dict[str, float]) -> GraphFrame:
-    """Run one decoded payload through fault → validate → build,
-    raising only :class:`ReproError`\\ s; stage wall times accumulate
-    into *timings*: ``validate`` is the reader's schema check,
-    ``build`` the tree and frame it assembles from the checked
-    pieces."""
-    payload = _trip_fault(payload, source, sleep)
+    """Run one decoded payload through validate → build, raising only
+    :class:`ReproError`\\ s; stage wall times accumulate into
+    *timings*: ``validate`` is the reader's schema check, ``build`` the
+    tree and frame it assembles from the checked pieces."""
     with _timed(timings, "validate"), obs_span("ingest.validate",
                                                source=source):
         checked = _check(payload, source)
@@ -212,25 +217,42 @@ def _build(payload: Any, source: str, sleep,
                 stage="build") from e
 
 
-def _parallel_ingest_task(path: str) -> dict:
-    """Worker task: one profile path through read → validate → build.
+def _build_file(payload: Any, source: str,
+                timings: dict[str, float]) -> GraphFrame:
+    """:func:`_build` for a path source: the frame records its file."""
+    gf = _build(payload, source, timings)
+    gf.metadata.setdefault("profile.file", source)
+    return gf
 
-    Returns the GraphFrame as a lossless checkpoint payload dict
-    (:func:`repro.ingest.checkpoint._gf_to_payload`), so parallel
-    composition is byte-identical to serial.  The supervisor owns the
-    retry budget for transient read errors.
+
+def _read_task(path: str) -> Any:
+    """Worker task: read one profile file, run any injected fault, and
+    check the payload; the parent builds it with :func:`_build_file`.
+
+    Checking here keeps a schema failure a failure of the task, so it
+    counts against the source directory's circuit breaker.  The
+    supervisor owns the retry budget for transient read errors.
     """
-    from .checkpoint import _gf_to_payload
-
-    gf = _build(_read_payload(Path(path)), path, time.sleep, {})
-    gf.metadata.setdefault("profile.file", path)
-    return _gf_to_payload(gf)
+    payload = _trip_fault(_read_payload(Path(path)), path, time.sleep)
+    _check(payload, path)
+    return payload
 
 
 def _log_retry(error: ReproError, attempt: int, delay: float) -> None:
     logger.warning("%s (attempt %d); retrying in %.3fs", error,
                    attempt + 1, delay)
     obs_counter("ingest.read.retries")
+
+
+def _read_file(source: str, policy: ResiliencePolicy, rng, sleep,
+               timings: dict[str, float]) -> Any:
+    """Read one profile file on the main process under the policy's
+    retry budget (never its circuit breaker), then run any injected
+    fault."""
+    with _timed(timings, "read"), obs_span("ingest.read", source=source):
+        payload, _ = call_with_retries(_read_payload, Path(source), policy,
+                                       rng, sleep, on_retry=_log_retry)
+    return _trip_fault(payload, source, sleep)
 
 
 def _source_label(src: Any, index: int) -> str:
@@ -242,22 +264,6 @@ def _source_label(src: Any, index: int) -> str:
     return str(src)
 
 
-def _load_one(src: Any, source: str, policy: ResiliencePolicy, rng, sleep,
-              timings: dict[str, float]) -> GraphFrame:
-    """Load one source on the main process; paths read under the
-    policy's retry budget (never its circuit breaker)."""
-    if isinstance(src, GraphFrame):
-        return src
-    if isinstance(src, Mapping):
-        return _build(src, source, sleep, timings)
-    with _timed(timings, "read"), obs_span("ingest.read", source=source):
-        payload, _ = call_with_retries(_read_payload, Path(src), policy,
-                                       rng, sleep, on_retry=_log_retry)
-    gf = _build(payload, source, sleep, timings)
-    gf.metadata.setdefault("profile.file", source)
-    return gf
-
-
 def _repair_id(pid: Any, occurrence: int) -> Any:
     """Deterministic replacement id for the *occurrence*-th collision."""
     if isinstance(pid, (int, np.integer)) and not isinstance(pid, bool):
@@ -266,7 +272,118 @@ def _repair_id(pid: Any, occurrence: int) -> Any:
     return f"{pid}#{occurrence}"
 
 
-def _derive_profile_ids(gfs, sources, metadata_key, on_error, report):
+class _Outcomes:
+    """Where each profile's outcome lands: built frames in ``slots``
+    (keyed by input index), failures in the report, and — for path
+    sources under a checkpoint — both in the journal."""
+
+    def __init__(self, report: IngestReport, on_error: str, ckpt,
+                 guard: SignalGuard | None):
+        self.report = report
+        self.on_error = on_error
+        self.ckpt = ckpt
+        # journal writes run with SIGINT/SIGTERM deferred
+        self.critical = guard.critical if guard is not None \
+            else nullcontext
+        self.timings = report.stage_seconds
+        self.slots: dict[int, GraphFrame] = {}
+
+    def quarantine(self, idx: int, source: str, error: ReproError,
+                   where: str = "") -> None:
+        """Drop one profile under ``skip``/``collect``: warn under
+        ``skip``, log, count, and attribute it in the report."""
+        if self.on_error == "skip":
+            warnings.warn(f"skipping profile{where}: {error}",
+                          stacklevel=4)
+        logger.warning("quarantined profile %s%s [%s]: %s: %s", source,
+                       where, error.stage, type(error).__name__, error)
+        obs_counter("ingest.profiles.quarantined")
+        self.report.quarantined.append(
+            QuarantinedProfile(source=source, stage=error.stage,
+                               error=error, index=idx))
+
+    def fold(self, idx: int, source: str, gf: GraphFrame | None,
+             error: ReproError | None, attempts: int = 1,
+             payload: Any = None, from_file: bool = True
+             ) -> ReproError | None:
+        """Slot or quarantine one profile, journaling it when it came
+        from a file (*payload* is the one it was built from); under
+        ``strict`` a failure is returned for the caller to raise.  A
+        transient read error that outlived its retries names
+        *attempts*."""
+        journal = self.ckpt if from_file else None
+        if error is None:
+            if journal is not None:
+                with _timed(self.timings, "checkpoint"), \
+                        self.critical(), \
+                        obs_span("ingest.checkpoint.record", source=source):
+                    journal.record_ok(source, payload)
+            self.slots[idx] = gf
+            return None
+        if getattr(error, "transient", False):
+            logger.error("giving up on %s after %d attempt(s): %s",
+                         source, attempts, error)
+            head = f"I/O error reading {error.source}"
+            gave_up = ReaderError(
+                f"{head} after {attempts} attempt(s)"
+                f"{str(error).removeprefix(head)}", source=error.source)
+            gave_up.__cause__, error = error, gave_up
+        if journal is not None:
+            with self.critical():
+                journal.record_quarantined(source, error.stage,
+                                           type(error).__name__,
+                                           str(error))
+        if self.on_error == "strict":
+            return error
+        self.quarantine(idx, source, error)
+        return None
+
+    def resume(self, idx: int, source: str) -> bool:
+        """Settle *source* from the checkpoint journal, if it can be.
+
+        A journaled ``ok`` profile is rebuilt from its saved payload; a
+        payload that is missing, unreadable or fails to build (one
+        saved in an older format, say) is re-ingested from its source.
+        A journaled quarantine is skipped under ``skip``/``collect``
+        and retried under ``strict``, since the file may have been
+        fixed since.  Returns False when the source must be ingested.
+        """
+        rec = self.ckpt.get(source)
+        if rec is None:
+            return False
+        if rec.get("status") == "ok":
+            try:
+                with _timed(self.timings, "resume"), \
+                        obs_span("ingest.checkpoint.load", source=source):
+                    payload = self.ckpt.load_payload(rec)
+                gf = _build_file(payload, source, self.timings)
+            except ReproError as e:
+                logger.warning("checkpoint payload for %s unusable "
+                               "(%s: %s); re-ingesting", source,
+                               type(e).__name__, e)
+                obs_counter("ingest.checkpoint.payload_invalid")
+                return False
+            obs_counter("ingest.checkpoint.resumed")
+            self.report.resumed.append(source)
+            self.slots[idx] = gf
+            return True
+        if self.on_error == "strict":
+            return False
+        import repro.errors as errors_mod
+
+        err_cls = getattr(errors_mod, rec.get("error_type", ""), ReproError)
+        if not (isinstance(err_cls, type)
+                and issubclass(err_cls, ReproError)):
+            err_cls = ReproError
+        error = err_cls(str(rec.get("error", "quarantined in a previous run")),
+                        source=source, stage=rec.get("stage", "ingest"))
+        obs_counter("ingest.checkpoint.quarantine_skipped")
+        self.report.resumed_quarantined += 1
+        self.quarantine(idx, source, error, where=" (from checkpoint)")
+        return True
+
+
+def _derive_profile_ids(gfs, sources, metadata_key, outcomes: _Outcomes):
     """Profile id per GraphFrame; collisions repaired or raised.
 
     Returns ``(kept_gfs, kept_sources, profile_ids)`` — under non-strict
@@ -275,6 +392,7 @@ def _derive_profile_ids(gfs, sources, metadata_key, on_error, report):
     """
     from ..core.thicket import profile_hash
 
+    on_error, report = outcomes.on_error, outcomes.report
     kept_gfs, kept_sources, ids = [], [], []
     for (idx, source), gf in zip(sources, gfs):
         try:
@@ -289,14 +407,7 @@ def _derive_profile_ids(gfs, sources, metadata_key, on_error, report):
         except ReproError as e:
             if on_error == "strict":
                 raise
-            if on_error == "skip":
-                warnings.warn(f"skipping profile: {e}", stacklevel=3)
-            logger.warning("quarantined profile %s [compose]: %s: %s",
-                           source, type(e).__name__, e)
-            obs_counter("ingest.profiles.quarantined")
-            report.quarantined.append(
-                QuarantinedProfile(source=source, stage=e.stage,
-                                   error=e, index=idx))
+            outcomes.quarantine(idx, source, e)
             continue
         kept_gfs.append(gf)
         kept_sources.append((idx, source))
@@ -328,125 +439,39 @@ def _derive_profile_ids(gfs, sources, metadata_key, on_error, report):
     return kept_gfs, kept_sources, final_ids
 
 
-def _resume_quarantined(rec: Mapping, source: str, idx: int,
-                        on_error: str, report) -> None:
-    """Re-attribute a journaled quarantine without re-reading the file."""
-    import repro.errors as errors_mod
-
-    err_cls = getattr(errors_mod, rec.get("error_type", ""), ReproError)
-    if not (isinstance(err_cls, type) and issubclass(err_cls, ReproError)):
-        err_cls = ReproError
-    error = err_cls(str(rec.get("error", "quarantined in a previous run")),
-                    source=source, stage=rec.get("stage", "ingest"))
-    if on_error == "skip":
-        warnings.warn(f"skipping profile (from checkpoint): {error}",
-                      stacklevel=3)
-    logger.info("checkpoint: skipping previously quarantined profile %s "
-                "[%s]", source, error.stage)
-    obs_counter("ingest.checkpoint.quarantine_skipped")
-    obs_counter("ingest.profiles.quarantined")
-    report.resumed_quarantined += 1
-    report.quarantined.append(
-        QuarantinedProfile(source=source, stage=error.stage, error=error,
-                           index=idx))
-
-
-def _fold(report: IngestReport, idx: int, source: str,
-          gf: GraphFrame | None, error: ReproError | None, attempts: int,
-          on_error: str, ckpt, crit, timings,
-          slots: dict[int, GraphFrame]) -> ReproError | None:
-    """Journal one profile's outcome and slot or quarantine it; under
-    ``strict`` a failure is returned for the caller to raise.  A
-    transient read error that outlived its retries names *attempts*."""
-    if error is None:
-        if ckpt is not None:
-            with _timed(timings, "checkpoint"), crit(), \
-                    obs_span("ingest.checkpoint.record", source=source):
-                ckpt.record_ok(source, gf)
-        slots[idx] = gf
-        return None
-    if getattr(error, "transient", False):
-        logger.error("giving up on %s after %d attempt(s): %s",
-                     source, attempts, error)
-        head = f"I/O error reading {error.source}"
-        gave_up = ReaderError(
-            f"{head} after {attempts} attempt(s)"
-            f"{str(error).removeprefix(head)}", source=error.source)
-        gave_up.__cause__, error = error, gave_up
-    if ckpt is not None:
-        with crit():
-            ckpt.record_quarantined(source, error.stage,
-                                    type(error).__name__, str(error))
-    if on_error == "strict":
-        return error
-    if on_error == "skip":
-        warnings.warn(f"skipping profile: {error}", stacklevel=3)
-    logger.warning("quarantined profile %s [%s]: %s: %s",
-                   source, error.stage, type(error).__name__, error)
-    obs_counter("ingest.profiles.quarantined")
-    report.quarantined.append(
-        QuarantinedProfile(source=source, stage=error.stage, error=error,
-                           index=idx))
-    return None
-
-
-def _try_resume(ckpt, source: str, idx: int, on_error: str, report,
-                timings) -> tuple[bool, GraphFrame | None]:
-    """Consult the checkpoint journal for *source*.
-
-    Returns ``(handled, gf)``: ``(True, gf)`` for a resumed profile,
-    ``(True, None)`` for a skipped quarantine, ``(False, None)`` when
-    the source must be (re-)ingested.
-    """
-    rec = ckpt.get(source)
-    if rec is None:
-        return False, None
-    if rec.get("status") == "ok":
-        with _timed(timings, "resume"), \
-                obs_span("ingest.checkpoint.load", source=source):
-            gf = ckpt.load_gf(rec)
-        if gf is not None:
-            obs_counter("ingest.checkpoint.resumed")
-            report.resumed.append(source)
-            return True, gf
-        return False, None  # payload lost/corrupt: re-ingest
-    if on_error != "strict":
-        _resume_quarantined(rec, source, idx, on_error, report)
-        return True, None
-    return False, None  # strict + previously quarantined: retry
-
-
-def _load_parallel(tasks, policy: ResiliencePolicy, on_error: str,
-                   report: IngestReport, ckpt, crit, sleep, timings,
-                   slots: dict[int, GraphFrame]) -> None:
+def _load_parallel(outcomes: _Outcomes, tasks, policy: ResiliencePolicy,
+                   sleep) -> None:
     """Fan *tasks* (``(idx, path)`` pairs) out across a supervised pool.
 
-    Successful profiles land in *slots* (keyed by input index, so the
-    caller reassembles input order); failures are quarantined exactly
-    as the serial path would, with executor failures (timeout, crash,
-    breaker, deadline) additionally counted on the report.  Under
-    ``strict`` the lowest-index error is raised — after every outcome
-    has been journaled, so a checkpointed re-run still resumes.
+    Workers return checked payloads, which are built here, so a pool
+    profile is built exactly as a serial one.  Failures are quarantined
+    exactly as the serial path would, with executor failures (timeout,
+    crash, breaker, deadline) additionally counted on the report.
+    Under ``strict`` the lowest-index error is raised — after every
+    outcome has been journaled, so a checkpointed re-run still resumes.
     """
-    from .checkpoint import _payload_to_gf
-
+    report = outcomes.report
     paths = [path for _, path in tasks]
     executor = SupervisedExecutor(
         policy, breaker_key=lambda key: str(Path(key).parent),
         sleep=sleep)
-    with _timed(timings, "execute"), \
+    with _timed(outcomes.timings, "execute"), \
             obs_span("ingest.parallel", tasks=len(tasks),
                      jobs=policy.jobs):
-        outcomes = executor.map(_parallel_ingest_task, paths, keys=paths)
+        results = executor.map(_read_task, paths, keys=paths)
     report.breaker_trips += executor.breaker.trips
     first_error: ReproError | None = None
-    for (idx, source), outcome in zip(tasks, outcomes):
-        gf = _payload_to_gf(outcome.value) if outcome.ok else None
-        report.timeouts += outcome.status in ("timeout", "deadline")
-        report.worker_crashes += outcome.status == "crash"
-        error = _fold(report, idx, source, gf, outcome.error,
-                      outcome.attempts, on_error, ckpt, crit, timings,
-                      slots)
+    for (idx, source), result in zip(tasks, results):
+        gf, error = None, result.error
+        if result.ok:
+            try:
+                gf = _build_file(result.value, source, outcomes.timings)
+            except ReproError as e:
+                error = e
+        report.timeouts += result.status in ("timeout", "deadline")
+        report.worker_crashes += result.status == "crash"
+        error = outcomes.fold(idx, source, gf, error, result.attempts,
+                              payload=result.value)
         first_error = first_error or error
     if first_error is not None:
         raise first_error
@@ -475,9 +500,10 @@ def load_ensemble(sources: Iterable[Any] | Any,
         Injectable sleep function (testing); defaults to ``time.sleep``.
     checkpoint:
         Directory for a crash-tolerant ingestion checkpoint (created
-        if missing).  Per-profile outcomes are journaled there as the
-        run progresses, and a re-run with the same directory resumes
-        from the journal instead of re-reading finished profiles.
+        if missing).  The outcome of every path source is journaled
+        there as the run progresses, and a re-run with the same
+        directory resumes from the journal instead of re-reading
+        finished profiles.
         Checkpointed runs defer SIGINT/SIGTERM across journal writes
         so an interrupt can never tear an in-flight record.
     policy:
@@ -487,11 +513,11 @@ def load_ensemble(sources: Iterable[Any] | Any,
         while reading profile files (jitter drawn from a
         ``random.Random(0)``, as the executor's).  A *supervised* policy
         (``jobs > 1``, or a ``task_timeout`` / ``deadline``) fans the
-        per-profile read → validate → build stages out across a
+        per-file read → validate stages out across a
         :class:`~repro.resilience.SupervisedExecutor` worker pool with
         per-task deadlines, heartbeat liveness, and per-directory
-        circuit breakers; composition stays on the main process and
-        results keep input order.  Otherwise profiles load serially on
+        circuit breakers; build and composition stay on the main
+        process and results keep input order.  Otherwise profiles load serially on
         the calling process, with no circuit breaker.
 
     Returns
@@ -531,9 +557,8 @@ def load_ensemble(sources: Iterable[Any] | Any,
             guard = stack.enter_context(SignalGuard())
             ckpt = CheckpointJournal(checkpoint)
             report.checkpoint_path = str(Path(checkpoint))
-
-        def crit():
-            return guard.critical() if guard is not None else nullcontext()
+        outcomes = _Outcomes(report, on_error, ckpt, guard)
+        labels = [_source_label(src, idx) for idx, src in enumerate(sources)]
 
         try:
             with obs_span("ingest.load_ensemble", profiles=len(sources),
@@ -541,45 +566,46 @@ def load_ensemble(sources: Iterable[Any] | Any,
                 logger.info(
                     "ingesting %d profile(s) (policy=%s, jobs=%d)",
                     len(sources), on_error, eff.jobs)
-                slots: dict[int, GraphFrame] = {}
                 tasks: list[tuple[int, str]] = []   # parallelizable paths
-                for idx, src in enumerate(sources):
-                    source = _source_label(src, idx)
-                    if ckpt is not None:
-                        handled, gf = _try_resume(ckpt, source, idx,
-                                                  on_error, report, timings)
-                        if handled:
-                            if gf is not None:
-                                slots[idx] = gf
-                            continue
-                    if eff.supervised and not isinstance(
-                            src, (GraphFrame, Mapping)):
-                        tasks.append((idx, str(src)))
+                for idx, (src, source) in enumerate(zip(sources, labels)):
+                    if isinstance(src, GraphFrame):
+                        outcomes.slots[idx] = src
                         continue
+                    from_file = not isinstance(src, Mapping)
+                    if from_file and ckpt is not None \
+                            and outcomes.resume(idx, source):
+                        continue
+                    if from_file and eff.supervised:
+                        tasks.append((idx, source))
+                        continue
+                    gf = payload = error = None
                     try:
                         with obs_span("ingest.profile", source=source):
-                            gf = _load_one(src, source, eff, rng, sleep,
-                                           timings)
-                        error = None
+                            if from_file:
+                                payload = _read_file(source, eff, rng, sleep,
+                                                     timings)
+                                gf = _build_file(payload, source, timings)
+                            else:
+                                gf = _build(_trip_fault(src, source, sleep),
+                                            source, timings)
                     except ReproError as e:
-                        gf, error = None, e
-                    error = _fold(report, idx, source, gf, error,
-                                  getattr(error, "attempts", 1), on_error,
-                                  ckpt, crit, timings, slots)
+                        error = e
+                    error = outcomes.fold(idx, source, gf, error,
+                                          getattr(error, "attempts", 1),
+                                          payload, from_file)
                     if error is not None:
                         raise error
                 if tasks:
-                    _load_parallel(tasks, eff, on_error, report, ckpt,
-                                   crit, sleep, timings, slots)
-                gfs = [slots[i] for i in sorted(slots)]
-                labelled = [(i, _source_label(sources[i], i))
-                            for i in sorted(slots)]
+                    _load_parallel(outcomes, tasks, eff, sleep)
+                order = sorted(outcomes.slots)
+                gfs = [outcomes.slots[i] for i in order]
+                labelled = [(i, labels[i]) for i in order]
                 obs_counter("ingest.profiles.loaded", len(gfs))
 
                 with _timed(timings, "compose"), \
                         obs_span("ingest.derive_ids"):
                     gfs, labelled, profile_ids = _derive_profile_ids(
-                        gfs, labelled, metadata_key, on_error, report)
+                        gfs, labelled, metadata_key, outcomes)
 
                 report.loaded = [source for _, source in labelled]
                 if not gfs:
@@ -623,6 +649,6 @@ def load_ensemble(sources: Iterable[Any] | Any,
                                 report.requested, report.n_quarantined)
         finally:
             if ckpt is not None:
-                with crit():
+                with outcomes.critical():
                     ckpt.close()
     return IngestResult(tk, report)

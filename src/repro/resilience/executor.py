@@ -17,8 +17,8 @@ processes from the parent:
 * **bounded retries with jittered exponential backoff** — transient
   failures (a task raising a ``ReproError`` with ``transient=True``)
   are re-dispatched after ``policy.delay_for(attempt, rng)`` seconds;
-  inline mode and serial ingest block on the same rule through
-  :func:`call_with_retries`;
+  serial ingest blocks on the same rule through
+  :func:`call_with_retries`, the one in-process retry loop;
 * **circuit breakers** — consecutive failures per failure domain trip
   a :class:`~repro.resilience.breaker.CircuitBreaker`, converting
   retry storms into fast :class:`~repro.errors.CircuitOpenError`
@@ -28,6 +28,8 @@ processes from the parent:
 * **deterministic ordering** — results come back sorted by task index,
   so parallel output is byte-identical to a serial run.
 
+Every task runs in a worker process, whatever the policy's ``jobs``:
+a caller with nothing to supervise calls its function directly.
 Tasks must be picklable module-level callables returning picklable
 values; worker processes are started with the ``fork`` method where
 available so test seams (monkeypatched module globals) propagate.
@@ -278,56 +280,13 @@ class SupervisedExecutor:
                 f"{len(keys)} keys for {len(items)} items")
         if not items:
             return []
-        mode = "pool" if self.policy.supervised else "inline"
-        with obs_span("exec.map", tasks=len(items), jobs=self.policy.jobs,
-                      mode=mode) as s:
+        with obs_span("exec.map", tasks=len(items),
+                      jobs=self.policy.jobs) as s:
             obs_counter("exec.tasks", len(items))
-            if mode == "inline":
-                outcomes = self._map_inline(fn, items, keys)
-            else:
-                outcomes = self._map_pool(fn, items, keys)
+            outcomes = self._map_pool(fn, items, keys)
             s.set("ok", sum(1 for o in outcomes if o.ok))
             s.set("failed", sum(1 for o in outcomes if not o.ok))
         outcomes.sort(key=lambda o: o.index)
-        return outcomes
-
-    # -- inline mode ----------------------------------------------------
-    def _map_inline(self, fn, items, keys) -> list[TaskOutcome]:
-        """Serial execution with retry/breaker/deadline but no pool.
-
-        Per-task timeouts are unenforceable without process isolation,
-        so policies that set one route to the pool instead (see
-        :meth:`ResiliencePolicy.supervised`); the run ``deadline`` is
-        still checked between tasks.
-        """
-        t0 = self.clock()
-        outcomes = []
-        for index, (item, key) in enumerate(zip(items, keys)):
-            if self.policy.deadline is not None and \
-                    self.clock() - t0 >= self.policy.deadline:
-                outcomes.append(self._deadline_outcome(index, key))
-                continue
-            bkey = self.breaker_key(key)
-            if not self.breaker.allow(bkey):
-                outcomes.append(self._breaker_outcome(index, key, bkey))
-                continue
-            start = self.clock()
-            try:
-                value, attempts = call_with_retries(
-                    fn, item, self.policy, self.rng, self.sleep,
-                    on_retry=lambda *_: obs_counter("exec.retries"))
-            except ReproError as e:
-                self.breaker.record_failure(bkey)
-                obs_counter("exec.errors")
-                outcomes.append(TaskOutcome(
-                    index, key, "error", error=e, attempts=e.attempts,
-                    seconds=self.clock() - start))
-                continue
-            self.breaker.record_success(bkey)
-            obs_counter("exec.ok")
-            outcomes.append(TaskOutcome(
-                index, key, "ok", value=value, attempts=attempts,
-                seconds=self.clock() - start))
         return outcomes
 
     # -- pool mode ------------------------------------------------------

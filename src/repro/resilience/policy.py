@@ -39,10 +39,10 @@ class ResiliencePolicy:
     Parameters
     ----------
     jobs:
-        Worker processes to fan tasks out across.  ``1`` (the default)
-        runs tasks inline on the calling process — byte-identical to
-        the historical serial behaviour — unless ``task_timeout`` or
-        ``deadline`` require supervision.
+        Worker processes to fan tasks out across.  With ``1`` (the
+        default) and no ``task_timeout`` or ``deadline`` there is
+        nothing to supervise, and callers such as ingest run their
+        work serially on the calling process instead.
     task_timeout:
         Per-task wall-clock budget in seconds, enforced by the
         supervisor (the worker is killed when it overruns).  ``None``
@@ -114,8 +114,11 @@ class ResiliencePolicy:
     def supervised(self) -> bool:
         """True when this policy needs the process-pool supervisor.
 
-        A policy with ``jobs == 1`` and no timeout/deadline runs inline
-        — that is the historical serial path, preserved exactly.
+        A policy with ``jobs == 1`` and no timeout/deadline does not:
+        callers run its work serially on the calling process and retry
+        through :func:`~repro.resilience.call_with_retries`.  Every
+        :meth:`SupervisedExecutor.map
+        <repro.resilience.SupervisedExecutor.map>` runs in the pool.
         """
         return (self.jobs > 1 or self.task_timeout is not None
                 or self.deadline is not None)

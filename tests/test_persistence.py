@@ -38,11 +38,13 @@ from repro.core.io import (
 from repro.errors import CorruptStoreError, PersistenceError
 from repro.graph import GraphFrame
 from repro.ingest import CheckpointJournal, load_ensemble
+from repro.resilience import ResiliencePolicy
 from repro.workloads import (
     QUARTZ,
     STORE_CORRUPTION_MODES,
     corrupt_store,
     generate_rajaperf_profile,
+    inject_slow_io,
     write_marbl_campaign,
 )
 
@@ -411,6 +413,60 @@ class TestCheckpointResume:
         assert counter.reads == 1
         assert report.n_resumed == len(campaign) - 1
         assert tk.to_json() == first.to_json()
+
+    @pytest.mark.parametrize("first_jobs, second_jobs", [(2, 1), (1, 2)])
+    def test_resume_crosses_pool_and_serial(self, campaign, tmp_path,
+                                            monkeypatch, first_jobs,
+                                            second_jobs):
+        """A pool run and a serial run journal the same payloads, so
+        either resumes the other's checkpoint in full."""
+        import repro.ingest.pipeline as pipe
+
+        baseline = load_ensemble(campaign).thicket.to_json()
+        ckpt = tmp_path / "ckpt"
+        load_ensemble(campaign, checkpoint=ckpt,
+                      policy=ResiliencePolicy(jobs=first_jobs))
+        counter = _CountReads()
+        monkeypatch.setattr(pipe, "_read_text", counter)
+        tk, report = load_ensemble(campaign, checkpoint=ckpt,
+                                   policy=ResiliencePolicy(jobs=second_jobs))
+        assert counter.reads == 0
+        assert report.n_resumed == len(campaign)
+        assert tk.to_json() == baseline
+
+    def test_slow_io_profile_resumes_without_stalling(self, campaign,
+                                                      tmp_path):
+        """The journal keeps the payload inside the fault wrapper, so a
+        resume does not run the injected stall again."""
+        inject_slow_io(campaign[1], seconds=0.25)
+        ckpt = tmp_path / "ckpt"
+        stalls = []
+        first, _ = load_ensemble(campaign, checkpoint=ckpt,
+                                 sleep=stalls.append)
+        assert stalls == [0.25]
+        stalls.clear()
+        tk, report = load_ensemble(campaign, checkpoint=ckpt,
+                                   sleep=stalls.append)
+        assert report.n_resumed == len(campaign)
+        assert stalls == []
+        assert tk.to_json() == first.to_json()
+
+    def test_in_memory_sources_are_not_journaled(self, tmp_path):
+        """Payload dicts are labelled by position (``<payload #0>``), so
+        a journal keyed by label would resume one run's profile in
+        place of another's; only path sources are journaled."""
+        from repro.caliper import profile_to_cali_dict
+
+        a, b = (profile_to_cali_dict(generate_rajaperf_profile(
+            QUARTZ, 1048576, kernels=["Stream_DOT"], seed=1,
+            metadata={"rep": rep})) for rep in "AB")
+        ckpt = tmp_path / "ckpt"
+        load_ensemble([a], checkpoint=ckpt)
+        tk, report = load_ensemble([b], checkpoint=ckpt)
+        assert report.resumed == []
+        assert list(tk.metadata.column("rep")) == ["B"]
+        assert tk.to_json() == load_ensemble([b]).thicket.to_json()
+        assert not any((ckpt / "profiles").iterdir())
 
     def test_resume_counters_surface_in_obs(self, campaign, tmp_path):
         import repro.obs as obs

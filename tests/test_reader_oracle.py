@@ -193,7 +193,7 @@ def reference_build(payload: Any, source: str) -> GraphFrame:
 
 
 def fused_build(payload: Any, source: str) -> GraphFrame:
-    return _build(payload, source, time.sleep, {})
+    return _build(payload, source, {})
 
 
 # ----------------------------------------------------------------------

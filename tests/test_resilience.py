@@ -93,6 +93,12 @@ def _fail_task(x):
     raise ReaderError("doomed", source=str(x))
 
 
+def _always_transient_task(x):
+    err = ReaderError("blip", source=str(x))
+    err.transient = True
+    raise err
+
+
 def _flaky_task(counter_path):
     """Fail transiently twice (file-based count survives respawns)."""
     p = Path(counter_path)
@@ -246,35 +252,21 @@ class TestCircuitBreaker:
 
 
 # ----------------------------------------------------------------------
-# inline executor (jobs=1, injected clock/sleep: fully deterministic)
+# executor outcome contract (real worker processes) and the one
+# in-process retry loop
 # ----------------------------------------------------------------------
 
 class TestInlineExecutor:
+    """Outcome order, errors and breaker fast-fail through the pool
+    (every ``map`` runs there), and :func:`call_with_retries`, the
+    serial retry loop ingest uses on the calling process."""
+
     def test_results_in_input_order(self):
-        ex = SupervisedExecutor(ResiliencePolicy())
+        ex = SupervisedExecutor(ResiliencePolicy(jobs=2))
         outcomes = ex.map(_square, [3, 1, 2])
         assert [o.value for o in outcomes] == [9, 1, 4]
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert all(o.ok and o.status == "ok" for o in outcomes)
-
-    def test_transient_retry_with_recorded_backoff(self):
-        delays = []
-        attempts = {"n": 0}
-
-        def flaky(x):
-            attempts["n"] += 1
-            if attempts["n"] < 3:
-                err = ReaderError("blip", source="x")
-                err.transient = True
-                raise err
-            return x
-
-        ex = SupervisedExecutor(
-            ResiliencePolicy(max_retries=2, backoff=0.01),
-            sleep=delays.append)
-        [outcome] = ex.map(flaky, ["v"])
-        assert outcome.ok and outcome.attempts == 3
-        assert delays == [0.01, 0.02]
 
     def test_call_with_retries_stops_at_a_permanent_error(self):
         calls, delays = [], []
@@ -300,51 +292,32 @@ class TestInlineExecutor:
         assert len(calls) == 3 and delays == [0.01]
 
     def test_retry_budget_exhausted_surfaces_error(self):
-        def always(x):
-            err = ReaderError("blip", source="x")
-            err.transient = True
-            raise err
-
-        ex = SupervisedExecutor(ResiliencePolicy(max_retries=1, backoff=0.0),
-                                sleep=lambda s: None)
-        [outcome] = ex.map(always, ["v"])
+        ex = SupervisedExecutor(ResiliencePolicy(jobs=2, max_retries=1,
+                                                 backoff=0.0))
+        [outcome] = ex.map(_always_transient_task, ["v"])
         assert not outcome.ok
         assert outcome.status == "error" and outcome.attempts == 2
         assert isinstance(outcome.error, ReaderError)
+        assert outcome.error.transient
 
     def test_permanent_error_not_retried(self):
-        ex = SupervisedExecutor(ResiliencePolicy(max_retries=5),
-                                sleep=lambda s: None)
+        ex = SupervisedExecutor(ResiliencePolicy(jobs=2, max_retries=5))
         [outcome] = ex.map(_fail_task, ["v"])
         assert outcome.attempts == 1 and not outcome.ok
+        assert isinstance(outcome.error, ReaderError)
 
     def test_breaker_fast_fails_after_threshold(self):
+        # one worker, so each failure is recorded before the next
+        # task is offered for dispatch
         ex = SupervisedExecutor(
-            ResiliencePolicy(max_retries=0, breaker_threshold=2,
+            ResiliencePolicy(jobs=1, max_retries=0, breaker_threshold=2,
                              breaker_cooldown=60.0),
-            breaker_key=lambda k: "domain", clock=FakeClock())
+            breaker_key=lambda k: "domain")
         outcomes = ex.map(_fail_task, list(range(4)))
         assert [o.status for o in outcomes] == \
             ["error", "error", "breaker_open", "breaker_open"]
         assert isinstance(outcomes[2].error, CircuitOpenError)
         assert ex.breaker.trips == 1
-
-    def test_deadline_between_tasks(self):
-        clock = FakeClock()
-
-        def slow(x):
-            clock.advance(0.4)
-            return x
-
-        ex = SupervisedExecutor(ResiliencePolicy(deadline=1.0, jobs=1),
-                                clock=clock)
-        # deadline forces pool mode off? deadline makes policy
-        # supervised; call the inline path directly to pin its contract
-        outcomes = ex._map_inline(slow, [1, 2, 3, 4], ["a", "b", "c", "d"])
-        statuses = [o.status for o in sorted(outcomes,
-                                             key=lambda o: o.index)]
-        assert statuses == ["ok", "ok", "ok", "deadline"]
-        assert isinstance(outcomes[3].error, DeadlineExceededError)
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 Three guarantees of :mod:`repro.core.io` are pinned here:
 
-* **Frozen bytes.** ``tests/data/store_v2_*.json`` and
-  ``tests/data/ckpt_payload_v1.json`` were written by the row-by-row
-  encoder that preceded the whole-column one, for the fixed ensembles
-  built below.  The current encoder must reproduce them byte for byte,
-  and they must load and re-save unchanged.  Never regenerate them: a
-  diff here means the store format drifted.
+* **Frozen bytes.** ``tests/data/store_v2_*.json`` were written by
+  the row-by-row encoder that preceded the whole-column one, for the
+  fixed ensembles built below.  The current encoder must reproduce
+  them byte for byte, and they must load and re-save unchanged.  Never
+  regenerate them: a diff here means the store format drifted.
+  ``tests/data/ckpt_payload_v1.json`` is a checkpoint payload in a
+  format checkpoints no longer write; a resume must re-ingest it.
 * **Same verdict as the slow loader.** :func:`reference_load` is the
   obviously correct loader: parse the whole document, re-encode the
   payload canonically and compare checksums.  The fast loader must
@@ -153,20 +154,30 @@ def test_frozen_store_keeps_dtypes_and_row_counts():
 
 def test_checkpoint_payload_written_before_the_change_resumes(
         tmp_path, monkeypatch):
-    """``ckpt_payload_v1.json`` is what the row-by-row checkpoint encoder
-    wrote for ``cali_profile.json`` read as ``p.json``.  The current
-    encoder writes the same bytes, and a journal pointing at the old
-    payload resumes the profile without re-reading it."""
+    """``ckpt_payload_v1.json`` is the ``repro-gf-v1`` GraphFrame payload
+    an older checkpoint wrote for ``cali_profile.json`` read as
+    ``p.json``.  Checkpoints now save the cali-JSON payload itself, so a
+    journal pointing at the old file re-ingests the source — never
+    quarantines it — and composes the same thicket."""
+    import repro.obs as obs
+
     monkeypatch.chdir(tmp_path)
     shutil.copyfile(DATA / "cali_profile.json", "p.json")
     fresh, _ = load_ensemble(["p.json"], checkpoint="ckpt")
     (payload,) = (tmp_path / "ckpt" / "profiles").iterdir()
-    frozen = (DATA / "ckpt_payload_v1.json").read_bytes()
-    assert payload.read_bytes() == frozen
+    payload.write_bytes((DATA / "ckpt_payload_v1.json").read_bytes())
 
-    payload.write_bytes(frozen)
-    resumed, report = load_ensemble(["p.json"], checkpoint="ckpt")
-    assert report.resumed == ["p.json"]
+    obs.reset()
+    obs.enable()
+    try:
+        resumed, report = load_ensemble(["p.json"], checkpoint="ckpt")
+        invalid = obs.get_telemetry().metrics.counter_value(
+            "ingest.checkpoint.payload_invalid")
+    finally:
+        obs.disable()
+        obs.reset()
+    assert report.resumed == [] and not report.quarantined
+    assert invalid == 1
     assert resumed.to_json() == fresh.to_json()
 
 
