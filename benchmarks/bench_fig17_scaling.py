@@ -8,6 +8,7 @@ AWS curve is consistently below the CTS curve.
 
 import numpy as np
 
+from repro.core.stats import grouped_by_metadata
 from repro.frame import DataFrame, to_csv
 from repro.viz import scaling_plot_svg
 
@@ -17,24 +18,12 @@ from conftest import MARBL_NODE_COUNTS
 def scaling_series(marbl_thicket):
     """cluster label → (nodes, mean time-per-cycle, std) from the thicket."""
     loop = marbl_thicket.get_node("timeStepLoop")
-    node_of = {
-        pid: row["numhosts"] for pid, row in marbl_thicket.metadata.iterrows()
-    }
-    mpi_of = {
-        pid: row["mpi"] for pid, row in marbl_thicket.metadata.iterrows()
-    }
-    acc: dict[str, dict[int, list[float]]] = {}
-    col = marbl_thicket.dataframe.column("time per cycle (inc)")
-    for i, t in enumerate(marbl_thicket.dataframe.index.values):
-        if t[0] is not loop:
-            continue
-        v = col[i]
-        if v is None or (isinstance(v, float) and np.isnan(v)):
-            continue
-        label = ("C5n.18xlarge-IntelMPI" if mpi_of[t[1]] == "impi"
-                 else "CTS1-OpenMPI")
-        acc.setdefault(label, {}).setdefault(int(node_of[t[1]]), []).append(
-            float(v))
+    by_run = grouped_by_metadata(marbl_thicket, "time per cycle (inc)",
+                                 ("numhosts", "mpi"))[loop]
+    acc: dict[str, dict[int, np.ndarray]] = {}
+    for (hosts, mpi), values in by_run.items():
+        label = "C5n.18xlarge-IntelMPI" if mpi == "impi" else "CTS1-OpenMPI"
+        acc.setdefault(label, {})[int(hosts)] = values
     series = {}
     for label, by_nodes in acc.items():
         nodes = sorted(by_nodes)

@@ -19,6 +19,7 @@ import numpy as np
 
 from repro import Thicket
 from repro.caliper import profile_to_cali_dict
+from repro.core.stats import grouped_by_metadata
 from repro.model import ExtrapInterface
 from repro.readers import read_cali_dict
 from repro.viz import crossing_fraction, parallel_coordinates_svg, scaling_plot_svg
@@ -37,16 +38,12 @@ def main() -> None:
 
     # ---- Fig. 17: strong scaling of timeStepLoop --------------------
     loop = tk.get_node("timeStepLoop")
-    series: dict[str, dict[int, list[float]]] = {}
-    col = tk.dataframe.column("time per cycle (inc)")
-    meta = {pid: row for pid, row in tk.metadata.iterrows()}
-    for i, t in enumerate(tk.dataframe.index.values):
-        if t[0] is loop and np.isfinite(col[i]):
-            m = meta[t[1]]
-            label = ("C5n.18xlarge-IntelMPI" if m["mpi"] == "impi"
-                     else "CTS1-OpenMPI")
-            series.setdefault(label, {}).setdefault(
-                int(m["numhosts"]), []).append(float(col[i]))
+    by_run = grouped_by_metadata(tk, "time per cycle (inc)",
+                                 ("numhosts", "mpi"))[loop]
+    series: dict[str, dict[int, np.ndarray]] = {}
+    for (hosts, mpi), values in by_run.items():
+        label = "C5n.18xlarge-IntelMPI" if mpi == "impi" else "CTS1-OpenMPI"
+        series.setdefault(label, {})[int(hosts)] = values
 
     print("=== strong scaling: timeStepLoop time per cycle (s) ===")
     print(f"{'nodes':>6}", *(f"{lbl:>24}" for lbl in series))

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro import Thicket
 from repro.caliper import profile_to_cali_dict
+from repro.core.stats import grouped_by_metadata
 from repro.model.multiparam import model_thicket_multiparam
 from repro.readers import read_cali_dict
 from repro.workloads import QUARTZ, generate_rajaperf_profile
@@ -57,17 +58,11 @@ def main() -> None:
               f"SMAPE={model.smape:.2f}%\n")
 
     # measured thread-scaling at the largest size, straight from the data
+    times = grouped_by_metadata(tk, "time (exc)",
+                                ("problem_size", "omp num threads"))
+
     def measured(kernel, threads):
-        node = tk.get_node(kernel)
-        wanted = {
-            pid for pid, row in tk.metadata.iterrows()
-            if row["problem_size"] == 8388608
-            and row["omp num threads"] == threads
-        }
-        col = tk.dataframe.column("time (exc)")
-        vals = [float(v) for t, v in zip(tk.dataframe.index.values, col)
-                if t[0] is node and t[1] in wanted]
-        return float(np.mean(vals))
+        return float(np.mean(times[tk.get_node(kernel)][(8388608, threads)]))
 
     print("=== measured 1 -> 36 thread speedup at size 8388608 ===")
     for name in KERNELS:

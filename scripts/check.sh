@@ -64,10 +64,13 @@ echo "== paper-figure benchmarks and differential oracles =="
 # the fault-tolerant ingestion benchmark), timings off
 python -m pytest benchmarks -q --benchmark-disable
 # the fused cali-JSON parser against the frozen validator + reader pair,
-# and the code-keyed frame and composition against the frozen
-# tuple-keyed reference, on a larger example budget than tier-1 gives
+# the code-keyed frame and composition against the frozen tuple-keyed
+# reference, and the per-node partitions (statistics, groupby, row
+# selection, grouping by metadata) against naive dict-of-lists
+# references, on a larger example budget than tier-1 gives
 python -m pytest tests/test_reader_oracle.py -q --hypothesis-profile=ci
 python -m pytest tests/test_frame_oracle.py -q --hypothesis-profile=ci
+python -m pytest tests/test_partition_oracle.py -q --hypothesis-profile=ci
 
 echo "== observability smoke (traced ingest + repro obs) =="
 # Trace a small campaign ingest end to end, then validate the emitted

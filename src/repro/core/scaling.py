@@ -6,6 +6,10 @@ serial-fraction estimate, and — via the Extra-P interface — a ranked
 list of prospective scalability bottlenecks ("by generating such
 performance models in bulk ... developers can easily identify regions
 which might become scalability bottlenecks").
+
+Times per resource count come from
+:func:`repro.core.stats.grouped_by_metadata`: NaN, ``None`` and ``±inf``
+cells, and profiles without a resource count, are missing.
 """
 
 from __future__ import annotations
@@ -15,31 +19,20 @@ from typing import Any, Hashable, Sequence
 import numpy as np
 
 from ..frame import DataFrame, Index
+from .stats import grouped_by_metadata
 
 __all__ = ["strong_scaling_table", "karp_flatt", "scalability_bottlenecks",
            "weak_scaling_efficiency"]
 
 
 def _series_by_resource(tk, node_name: str, metric: Hashable,
-                        resource_column: str) -> dict[float, list[float]]:
+                        resource_column: str) -> dict[float, np.ndarray]:
     node = tk.get_node(node_name)
-    resource_of = {
-        pid: float(row[resource_column])
-        for pid, row in tk.metadata.iterrows()
-    }
-    out: dict[float, list[float]] = {}
-    col = tk.dataframe.column(metric)
-    for i, t in enumerate(tk.dataframe.index.values):
-        if t[0] is not node:
-            continue
-        v = col[i]
-        if v is None or (isinstance(v, float) and np.isnan(v)):
-            continue
-        out.setdefault(resource_of[t[1]], []).append(float(v))
-    if not out:
+    series = grouped_by_metadata(tk, metric, resource_column).get(node)
+    if not series:
         raise ValueError(
             f"no measurements of {metric!r} for node {node_name!r}")
-    return out
+    return {float(r): values for r, values in series.items()}
 
 
 def strong_scaling_table(tk, node_name: str, metric: Hashable,
@@ -116,9 +109,9 @@ def scalability_bottlenecks(tk, parameter_column: str, metric: Hashable,
     from ..model import ExtrapInterface
 
     models = ExtrapInterface().model_thicket(tk, parameter_column, metric)
-    p_max = max(float(row[parameter_column])
-                for _, row in tk.metadata.iterrows())
-    horizon = 4.0 * p_max
+    p_max = np.nanmax(np.asarray(tk.metadata.column(parameter_column),
+                                 dtype=np.float64))
+    horizon = 4.0 * float(p_max)
 
     entries = []
     for node, model in models.items():

@@ -14,7 +14,8 @@ from .basic import (
     variance,
     zscore,
 )
-from .calc import apply_nodewise, grouped_values, suffix_key
+from .calc import (apply_nodewise, grouped_by_metadata, grouped_values,
+                   suffix_key)
 from .imbalance import load_imbalance
 
 __all__ = [
@@ -33,5 +34,6 @@ __all__ = [
     "load_imbalance",
     "apply_nodewise",
     "grouped_values",
+    "grouped_by_metadata",
     "suffix_key",
 ]

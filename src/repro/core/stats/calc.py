@@ -9,23 +9,18 @@ the paper's Fig. 9 (``Retiring_std``, ``time (exc)_std``).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
+from ...frame.groupby import suffix_key
+from ...frame.index import factorize
 from ...frame.segment import SEGMENT_KERNELS, Segments, segment_values
 from ...obs import counter as obs_counter
 from ...obs import span as obs_span
 
 __all__ = ["apply_nodewise", "reduce_nodewise", "suffix_key",
-           "resolve_columns", "grouped_values"]
-
-
-def suffix_key(col: Hashable, suffix: str) -> Hashable:
-    """``time (exc)`` + ``std`` → ``time (exc)_std`` (tuple-aware)."""
-    if isinstance(col, tuple):
-        return col[:-1] + (f"{col[-1]}_{suffix}",)
-    return f"{col}_{suffix}"
+           "resolve_columns", "grouped_values", "grouped_by_metadata"]
 
 
 def resolve_columns(tk, columns: Sequence[Hashable] | None) -> list[Hashable]:
@@ -38,14 +33,13 @@ def resolve_columns(tk, columns: Sequence[Hashable] | None) -> list[Hashable]:
     return list(columns)
 
 
-def _node_segments(tk, column: Hashable,
-                  drop_nonfinite: bool = True) -> Segments:
+def _node_segments(tk, column: Hashable) -> Segments:
     """A metric's values grouped by the codes of the performance
     index's cached node partition (see :func:`grouped_values`)."""
     obs_counter("stats.grouped_values")
     return segment_values(tk.dataframe.column(column),
                           tk.dataframe.index.partition(0),
-                          drop_nonfinite=drop_nonfinite)
+                          drop_nonfinite=True)
 
 
 def _statsframe_codes(tk) -> np.ndarray:
@@ -54,20 +48,66 @@ def _statsframe_codes(tk) -> np.ndarray:
     return part.codes_of(tk.statsframe.index.values)
 
 
-def grouped_values(tk, column: Hashable,
-                   drop_nonfinite: bool = True) -> tuple[list, list[np.ndarray]]:
+def grouped_values(tk, column: Hashable) -> tuple[list, list[np.ndarray]]:
     """Per-node float arrays of a metric across profiles.
 
     Returns ``(nodes, arrays)`` ordered like the statsframe index, with
     missing values dropped per node.  Non-finite values (``±inf`` from
-    corrupt or overflowed metrics) are treated as missing by default so
-    sparse partial-ensemble tables degrade gracefully instead of
+    corrupt or overflowed metrics) are missing like NaN and ``None``,
+    so sparse partial-ensemble tables degrade gracefully instead of
     propagating ``inf`` through every reduction.
     """
-    arrays = _node_segments(tk, column, drop_nonfinite).arrays()
+    arrays = _node_segments(tk, column).arrays()
     empty = np.empty(0)
     return (list(tk.statsframe.index.values),
             [arrays[c] if c >= 0 else empty for c in _statsframe_codes(tk)])
+
+
+def _metadata_key(columns: list[np.ndarray], row: int) -> tuple | None:
+    """Metadata row *row* of *columns* as plain Python scalars; ``None``
+    for no row (-1) or when a value is ``None`` or NaN."""
+    if row < 0:
+        return None
+    parts = tuple(c[row].item() if isinstance(c[row], np.generic) else c[row]
+                  for c in columns)
+    return None if any(v is None or v != v for v in parts) else parts
+
+
+def grouped_by_metadata(tk, column: Hashable, by: Hashable | Sequence[Hashable]
+                        ) -> dict[Any, dict[Hashable, np.ndarray]]:
+    """A metric's values per call-tree node and metadata value.
+
+    *by* names one metadata column, whose values are the keys; a list or
+    tuple of names gives tuple keys.  Returns ``{node: {key: values}}``:
+    nodes in the order of their first row, keys in the order of their
+    first row of the node, values in row order.  The :func:`grouped_values`
+    rule holds: NaN, ``None`` and ``±inf`` cells are missing, the rows of
+    a profile whose key has a ``None`` or NaN part are left out, and a
+    (node, key) pair with no values is absent.
+    """
+    several = isinstance(by, (list, tuple))
+    columns = [tk.metadata.column(c) for c in (by if several else [by])]
+    index = tk.dataframe.index
+    nodes, profiles = index.partition(0), index.partition(1)
+    key_codes: dict[Hashable, int] = {}
+    profile_key = np.full(len(profiles.uniques), -1, dtype=np.intp)
+    for p, row in enumerate(tk.metadata.index.get_indexer(profiles.uniques)):
+        key = _metadata_key(columns, row)
+        if key is not None:
+            key = key if several else key[0]
+            profile_key[p] = key_codes.setdefault(key, len(key_codes))
+    row_key = profile_key[profiles.codes]
+    kept = row_key >= 0
+    pairs = factorize((nodes.codes[kept] * len(key_codes)
+                       + row_key[kept]).tolist())
+    segs = segment_values(tk.dataframe.column(column)[kept], pairs,
+                          drop_nonfinite=True)
+    keys, out = list(key_codes), {}
+    for pair, values in zip(pairs.uniques, segs.arrays()):
+        if len(values):
+            n, k = divmod(pair, len(keys))
+            out.setdefault(nodes.uniques[n], {})[keys[k]] = values
+    return {node: out[node] for node in nodes.uniques if node in out}
 
 
 def reduce_nodewise(tk, columns: Sequence[Hashable] | None,

@@ -76,6 +76,7 @@ __all__ = [
     "RetryBudgetExhaustedError",
     "ClientDeadlineError",
     "ClientCircuitOpenError",
+    "rebuild_error",
 ]
 
 
@@ -419,3 +420,15 @@ class CorruptStoreError(PersistenceError):
     """
 
     default_stage = "verify"
+
+
+def rebuild_error(type_name: str, message: str, *, source: Any = None,
+                  stage: str | None = None,
+                  fallback: type[ReproError] = ReproError) -> ReproError:
+    """Rebuild a recorded error (a journaled quarantine, a worker's
+    report) as the :class:`ReproError` subclass of this module named
+    *type_name*, or as *fallback* when no such subclass has that name."""
+    cls = globals().get(type_name)
+    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
+        cls = fallback
+    return cls(message, source=source, stage=stage)

@@ -414,9 +414,8 @@ class DataFrame:
     def describe(self, columns: Sequence[Hashable] | None = None
                  ) -> "DataFrame":
         """Summary statistics per numeric column (count/mean/std/min/
-        quartiles/max), one row per statistic."""
-        from .ops import numeric_values
-
+        quartiles/max), one row per statistic: each column's
+        :meth:`Series.describe`, NaN where an empty column has none."""
         if columns is None:
             columns = [c for c in self._columns
                        if self._data[c].dtype.kind in "if"]
@@ -424,17 +423,8 @@ class DataFrame:
                       "max"]
         out = DataFrame(index=Index(stats_rows, name="statistic"))
         for c in columns:
-            data = numeric_values(self._data[c])
-            if len(data) == 0:
-                out[c] = [0.0] + [np.nan] * 7
-                continue
-            q1, med, q3 = np.percentile(data, [25, 50, 75])
-            out[c] = [
-                float(len(data)), float(np.mean(data)),
-                float(np.std(data, ddof=1)) if len(data) > 1 else 0.0,
-                float(np.min(data)), float(q1), float(med), float(q3),
-                float(np.max(data)),
-            ]
+            described = Series(self._data[c]).describe()
+            out[c] = [described.get(s, np.nan) for s in stats_rows]
         return out
 
     def unstack(self, level: int | Hashable = -1) -> "DataFrame":

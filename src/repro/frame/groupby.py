@@ -21,7 +21,7 @@ from .index import Index, LevelPartition, MultiIndex, factorize, sort_positions
 from .ops import resolve_aggregation
 from .segment import SEGMENT_KERNELS, segment_values
 
-__all__ = ["GroupBy"]
+__all__ = ["GroupBy", "suffix_key"]
 
 
 class GroupBy:
@@ -122,7 +122,7 @@ class GroupBy:
                 multi = len(fns) > 1
                 for fn in fns:
                     name = fn if isinstance(fn, str) else getattr(fn, "__name__", "agg")
-                    out_key = _suffix_key(col, name) if multi else col
+                    out_key = suffix_key(col, name) if multi else col
                     spec.append((out_key, col, fn))
         else:
             key_cols = set(self._by or [])
@@ -190,8 +190,8 @@ def _aggregate(values: np.ndarray, part: LevelPartition,
     return [fn(values[part.segment(c)]) for c in order]
 
 
-def _suffix_key(col: Hashable, suffix: str) -> Hashable:
-    """``col_suffix`` for flat keys, suffix on last element for tuples."""
+def suffix_key(col: Hashable, suffix: str) -> Hashable:
+    """``time (exc)`` + ``std`` → ``time (exc)_std`` (tuple-aware)."""
     if isinstance(col, tuple):
         return col[:-1] + (f"{col[-1]}_{suffix}",)
     return f"{col}_{suffix}"

@@ -96,22 +96,14 @@ def _infer_array(values: list) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values))
 
 
-def numeric_values(values: np.ndarray, drop_missing: bool = True,
-                   drop_nonfinite: bool = False) -> np.ndarray:
-    """Extract a float array from a column, optionally dropping missing.
-
-    ``drop_nonfinite`` additionally drops ``±inf`` — used by the
-    aggregated-statistics layer so a single corrupt ``inf`` metric in a
-    sparse campaign table degrades to a missing value instead of
-    poisoning every reduction over that node.
-    """
+def numeric_values(values: np.ndarray, drop_missing: bool = True
+                   ) -> np.ndarray:
+    """Extract a float array from a column, optionally dropping missing."""
     if _telemetry.enabled:
         _telemetry.metrics.increment("frame.ops.numeric_values")
     if values.dtype.kind in "ib":
         return values.astype(np.float64)
     if values.dtype.kind == "f":
-        if drop_nonfinite:
-            return values[np.isfinite(values)]
         return values[~np.isnan(values)] if drop_missing else values
     out = []
     for v in values:
@@ -120,8 +112,6 @@ def numeric_values(values: np.ndarray, drop_missing: bool = True,
         if isinstance(v, (int, float, np.integer, np.floating)):
             fv = float(v)
             if drop_missing and np.isnan(fv):
-                continue
-            if drop_nonfinite and not np.isfinite(fv):
                 continue
             out.append(fv)
         else:

@@ -74,6 +74,7 @@ from ..errors import (
     ReproError,
     SchemaError,
     WorkerCrashError,
+    rebuild_error,
 )
 from ..graph import GraphFrame
 from ..obs import counter as obs_counter
@@ -369,14 +370,10 @@ class _Outcomes:
             return True
         if self.on_error == "strict":
             return False
-        import repro.errors as errors_mod
-
-        err_cls = getattr(errors_mod, rec.get("error_type", ""), ReproError)
-        if not (isinstance(err_cls, type)
-                and issubclass(err_cls, ReproError)):
-            err_cls = ReproError
-        error = err_cls(str(rec.get("error", "quarantined in a previous run")),
-                        source=source, stage=rec.get("stage", "ingest"))
+        error = rebuild_error(
+            rec.get("error_type", ""),
+            str(rec.get("error", "quarantined in a previous run")),
+            source=source, stage=rec.get("stage", "ingest"))
         obs_counter("ingest.checkpoint.quarantine_skipped")
         self.report.resumed_quarantined += 1
         self.quarantine(idx, source, error, where=" (from checkpoint)")

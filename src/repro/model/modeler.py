@@ -6,7 +6,10 @@ least-squares problem in ``(c0, c1)``; hypotheses are ranked by
 cross-validated residual sum of squares with an adjusted-R² tie-break,
 following Extra-P's model-selection strategy.  ``ExtrapInterface``
 is the "convenient high-level interface" of §4.2.3: it models every
-call-tree node of a Thicket in bulk.
+call-tree node of a Thicket in bulk, taking each node's measurements
+per parameter value from :func:`repro.core.stats.grouped_by_metadata`
+(NaN, ``None`` and ``±inf`` cells, and profiles without a parameter
+value, are missing).
 """
 
 from __future__ import annotations
@@ -152,27 +155,15 @@ class ExtrapInterface:
     def model_thicket(self, tk, parameter_column: str, metric: Hashable,
                       aggregate: str = "mean") -> dict[Any, Model]:
         """Return node → fitted model; also records models on the statsframe."""
+        from ..core.stats import grouped_by_metadata
         from ..frame.ops import AGGREGATIONS
 
         agg = AGGREGATIONS[aggregate]
-        param_by_profile = {
-            pid: row[parameter_column] for pid, row in tk.metadata.iterrows()
-        }
-
-        per_node: dict[Any, dict[float, list[float]]] = {}
-        metric_col = tk.dataframe.column(metric)
-        for i, t in enumerate(tk.dataframe.index.values):
-            node, pid = t[0], t[1]
-            p_val = float(param_by_profile[pid])
-            v = metric_col[i]
-            if v is None or (isinstance(v, float) and np.isnan(v)):
-                continue
-            per_node.setdefault(node, {}).setdefault(p_val, []).append(float(v))
-
         models: dict[Any, Model] = {}
-        for node, by_p in per_node.items():
+        for node, by_p in grouped_by_metadata(tk, metric,
+                                              parameter_column).items():
             ps = sorted(by_p)
-            ys = [agg(np.asarray(by_p[p])) for p in ps]
+            ys = [agg(by_p[p]) for p in ps]
             if len(ps) < 2:
                 continue
             models[node] = self.modeler.fit(

@@ -184,31 +184,21 @@ class MultiParameterModeler:
 
 def model_thicket_multiparam(tk, parameter_columns: Sequence[str],
                              metric: Hashable, aggregate: str = "mean"):
-    """Bulk per-node multi-parameter models from a Thicket ensemble."""
+    """Bulk per-node multi-parameter models from a Thicket ensemble;
+    values grouped (and missing ones left out) by
+    :func:`repro.core.stats.grouped_by_metadata`."""
+    from ..core.stats import grouped_by_metadata
     from ..frame.ops import AGGREGATIONS
 
     agg = AGGREGATIONS[aggregate]
-    params_by_profile = {
-        pid: tuple(float(row[c]) for c in parameter_columns)
-        for pid, row in tk.metadata.iterrows()
-    }
-    per_node: dict = {}
-    col = tk.dataframe.column(metric)
-    for i, t in enumerate(tk.dataframe.index.values):
-        v = col[i]
-        if v is None or (isinstance(v, float) and np.isnan(v)):
-            continue
-        key = params_by_profile[t[1]]
-        per_node.setdefault(t[0], {}).setdefault(key, []).append(float(v))
-
     modeler = MultiParameterModeler()
     models = {}
-    for node, by_point in per_node.items():
+    for node, by_point in grouped_by_metadata(
+            tk, metric, tuple(parameter_columns)).items():
         if len(by_point) < 4:
             continue
-        pts = np.asarray(sorted(by_point), dtype=np.float64)
-        ys = np.asarray([
-            agg(np.asarray(by_point[tuple(p)])) for p in pts
-        ])
-        models[node] = modeler.fit(pts, ys, parameters=list(parameter_columns))
+        points = sorted(by_point)
+        ys = np.asarray([agg(by_point[p]) for p in points])
+        models[node] = modeler.fit(np.asarray(points, dtype=np.float64), ys,
+                                   parameters=list(parameter_columns))
     return models

@@ -52,6 +52,7 @@ from ..errors import (
     ReproError,
     TaskTimeoutError,
     WorkerCrashError,
+    rebuild_error,
 )
 from ..obs import counter as obs_counter
 from ..obs import span as obs_span
@@ -141,13 +142,10 @@ def _encode_error(exc: BaseException) -> dict:
 
 def _decode_error(info: dict) -> ReproError:
     """Rebuild the typed error a worker reported, preserving its class."""
-    import repro.errors as errors_mod
-
-    cls = getattr(errors_mod, info.get("type", ""), None)
-    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
-        cls = ExecutionError
-    err = cls(info.get("message", "task failed"),
-              source=info.get("source"), stage=info.get("stage"))
+    err = rebuild_error(info.get("type", ""),
+                        info.get("message", "task failed"),
+                        source=info.get("source"), stage=info.get("stage"),
+                        fallback=ExecutionError)
     if info.get("transient"):
         err.transient = True
     return err

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.stats import grouped_by_metadata
 from ..topdown import TOPDOWN_METRICS
 from .color import TOPDOWN_COLORS
 from .svg import SVGCanvas
@@ -27,36 +28,29 @@ def topdown_table(tk, group_column: str,
     """Collect (node, group-value) → mean top-down fractions.
 
     *group_column* is a metadata column (e.g. ``problem_size``).
-    Returns an ordered dict keyed by node name, each value an ordered
-    dict group-value → {metric: mean fraction}.
+    Returns an ordered dict keyed by node name (nodes sharing a name
+    are merged), each value an ordered dict group-value → {metric:
+    mean fraction}, grouped by :func:`repro.core.stats.grouped_by_metadata`;
+    a metric with no values in a group reads 0.0.
     """
-    group_of = {
-        pid: row[group_column] for pid, row in tk.metadata.iterrows()
-    }
+    cols = [m for m in metrics if m in tk.dataframe]
     acc: dict[str, dict] = {}
-    cols = {m: tk.dataframe.column(m) for m in metrics if m in tk.dataframe}
-    for i, t in enumerate(tk.dataframe.index.values):
-        name = t[0].frame.name
-        if nodes is not None and name not in nodes:
-            continue
-        group = group_of[t[1]]
-        group = group.item() if hasattr(group, "item") else group
-        bucket = acc.setdefault(name, {}).setdefault(
-            group, {m: [] for m in cols}
-        )
-        for m, col in cols.items():
-            v = col[i]
-            if v is not None and np.isfinite(v):
-                bucket[m].append(float(v))
-    out: dict[str, dict] = {}
-    for name, groups in acc.items():
-        out[name] = {}
-        for group in sorted(groups):
-            out[name][group] = {
-                m: (float(np.mean(vs)) if vs else 0.0)
-                for m, vs in groups[group].items()
-            }
-    return out
+    for m in cols:
+        for node, by_group in grouped_by_metadata(tk, m, group_column).items():
+            name = node.frame.name
+            if nodes is not None and name not in nodes:
+                continue
+            for group, values in by_group.items():
+                acc.setdefault(name, {}).setdefault(group, {}).setdefault(
+                    m, []).append(values)
+    return {
+        name: {
+            group: {m: (float(np.mean(np.concatenate(groups[group][m])))
+                        if m in groups[group] else 0.0) for m in cols}
+            for group in sorted(groups)
+        }
+        for name, groups in acc.items()
+    }
 
 
 def topdown_text(tk, group_column: str,

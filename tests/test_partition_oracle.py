@@ -2,8 +2,9 @@
 
 Every ``core.stats`` reduction, every named ``GroupBy.agg``, and the
 rows kept by ``filter_profile``, ``filter_stats``, ``query_thicket``
-and ``Thicket.intersection`` are compared with a deliberately naive
-reference: a dict of per-node value lists plus numpy.  The generated
+and ``Thicket.intersection``, and ``stats.grouped_by_metadata`` are
+compared with a deliberately naive reference: a dict of per-node value
+lists plus numpy.  The generated
 ensembles carry NaN and ±inf values, nodes with no rows, nodes whose
 values are all non-finite, an object-dtype numeric column holding
 ``None``, perf rows in shuffled (not node) order, single-profile
@@ -71,7 +72,8 @@ def ensembles(draw):
             "time": [time[i] for i in order], "obj": [obj[i] for i in order]}
 
 
-def build(spec, scale: float = 1.0) -> Thicket:
+def build(spec, scale: float = 1.0, metadata: dict | None = None
+          ) -> Thicket:
     graph = GraphFrame.from_literal(TREE).graph
     by_name = {n.frame.name: n for n in graph}
     nodes = [by_name[name] for name in NAMES]
@@ -83,7 +85,7 @@ def build(spec, scale: float = 1.0) -> Thicket:
         "time": [scale * v for v in spec["time"]],
         "obj": np.array(spec["obj"], dtype=object),
     }, index=index)
-    meta = DataFrame({"run": list(range(len(profiles)))},
+    meta = DataFrame(metadata or {"run": list(range(len(profiles)))},
                      index=Index(profiles, name="profile"))
     return Thicket(graph, perf, meta, profiles=profiles,
                    exc_metrics=["time"])
@@ -206,6 +208,65 @@ def test_stats_on_tuple_columns_match_naive_reference(spec):
     assert ("GPU", "time") in tk.dataframe
     assert_stored_cleanly(tk)
     check_stats(tk)
+
+
+# --- grouping by call-tree node and metadata value ------------------------
+
+group_value = st.one_of(st.none(), st.just(math.nan), st.integers(0, 2),
+                        st.sampled_from(["a", "b"]))
+
+
+def is_missing(v) -> bool:
+    return v is None or (isinstance(v, float) and math.isnan(v))
+
+
+def naive_by_metadata(tk, column, by) -> dict:
+    """Node → key → list of finite values, in row order; nodes in the
+    order of their first row, keys in the order of their first row of
+    the node; a node or key with no values left out."""
+    names = list(by) if isinstance(by, tuple) else [by]
+    meta = {pid: tuple(tk.metadata.column(n)[i] for n in names)
+            for i, pid in enumerate(tk.metadata.index.values)}
+    out: dict = {}
+    for (node, pid), v in zip(tk.dataframe.index.values,
+                              tk.dataframe.column(column)):
+        out.setdefault(node, {})
+        parts = meta[pid]
+        if any(is_missing(p) for p in parts):
+            continue
+        key = parts if isinstance(by, tuple) else parts[0]
+        values = out.setdefault(node, {}).setdefault(key, [])
+        if not is_missing(v) and not math.isinf(float(v)):
+            values.append(float(v))
+    out = {node: {k: vs for k, vs in by_key.items() if vs}
+           for node, by_key in out.items()}
+    return {node: by_key for node, by_key in out.items() if by_key}
+
+
+def plain(key) -> bool:
+    return not any(isinstance(k, np.generic)
+                   for k in (key if isinstance(key, tuple) else (key,)))
+
+
+@settings(deadline=None)
+@given(ensembles(), st.data())
+def test_grouped_by_metadata_matches_naive_reference(spec, data):
+    n = spec["n_profiles"]
+    columns = {name: data.draw(st.lists(group_value, min_size=n, max_size=n))
+               for name in ("size", "arch")}
+    columns["ranks"] = data.draw(st.lists(st.integers(1, 3), min_size=n,
+                                          max_size=n))
+    tk = build(spec, metadata=columns)
+    for by in ("size", "ranks", ("size", "arch"), ("ranks", "arch")):
+        for col in ("time", "obj"):
+            got = stats.grouped_by_metadata(tk, col, by)
+            want = naive_by_metadata(tk, col, by)
+            assert list(got) == list(want)
+            for node, by_key in want.items():
+                assert list(got[node]) == list(by_key)
+                assert all(plain(k) for k in got[node])
+                for key, values in by_key.items():
+                    assert list(got[node][key]) == values
 
 
 # --- GroupBy.agg ---------------------------------------------------------

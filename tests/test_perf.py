@@ -481,6 +481,10 @@ class TestPerfWorkflow:
         store = ["--store", str(tmp_path / "hist")]
         verdict_path = tmp_path / "verdict.json"
         out = ["--out", str(verdict_path)]
+        # a cold first ingest (imports, file cache) can read many times
+        # slower than the rest and widen the two-run baseline past the
+        # injected slowdown; run and discard one before recording
+        self._ingest_traces(campaign, tmp_path, 1, "warmup")
         base = self._ingest_traces(campaign, tmp_path, 2, "base")
         assert main(["perf", "record", *store, *base]) == 0
         clean = self._ingest_traces(campaign, tmp_path, 3, "clean")

@@ -35,7 +35,7 @@ from repro.core.io import (
     save_thicket,
     thicket_to_payload,
 )
-from repro.errors import CorruptStoreError, PersistenceError
+from repro.errors import CorruptStoreError, PersistenceError, ReproError
 from repro.graph import GraphFrame
 from repro.ingest import CheckpointJournal, load_ensemble
 from repro.resilience import ResiliencePolicy
@@ -357,6 +357,28 @@ class TestCheckpointResume:
         assert report.resumed_quarantined == 1
         assert report.quarantined[0].error_type == "ReaderError"
         assert str(campaign[3]) in report.quarantined[0].source
+
+    @pytest.mark.parametrize("error_type", ["NoSuchError", "Any"])
+    def test_journaled_quarantine_of_an_unknown_type_resumes_as_repro_error(
+            self, campaign, tmp_path, error_type):
+        """A journaled class name that is not a ``ReproError`` of
+        ``repro.errors`` (``Any`` is a name there, but no error class)
+        resumes as a plain ``ReproError`` with the journaled message."""
+        campaign[3].write_text("{broken")
+        ckpt = tmp_path / "ckpt"
+        load_ensemble(campaign, on_error="collect", checkpoint=ckpt)
+        with CheckpointJournal(ckpt) as journal:
+            [key] = [k for k, r in journal.records.items()
+                     if r["status"] == "quarantined"]
+            journal.record_quarantined(key, "read", error_type,
+                                       "journaled failure")
+        _, report = load_ensemble(campaign, on_error="collect",
+                                  checkpoint=ckpt)
+        assert report.resumed_quarantined == 1
+        [q] = report.quarantined
+        assert type(q.error) is ReproError
+        assert str(q.error).startswith("journaled failure")
+        assert q.error.stage == "read"
 
     def test_strict_retries_previously_quarantined_source(
             self, campaign, tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
+    ExecutionError,
     ReaderError,
     SchemaError,
     TaskTimeoutError,
@@ -393,6 +394,21 @@ def _crash_or_square(x):
     if x == 2:
         os._exit(3)  # pragma: no cover - the exit IS the test
     return x * x
+
+
+@pytest.mark.parametrize("name", ["NoSuchError", "Any"])
+def test_worker_error_of_an_unknown_type_decodes_as_execution_error(name):
+    """A reported class name that is not a ``ReproError`` of
+    ``repro.errors`` (``Any`` is a name there, but no error class)
+    rebuilds as the executor's fallback, keeping what was reported."""
+    from repro.resilience.executor import _decode_error
+
+    err = _decode_error({"type": name, "message": "boom", "source": "f.json",
+                         "stage": "read", "transient": True})
+    assert type(err) is ExecutionError
+    assert (str(err), err.source, err.stage, err.transient) == (
+        "boom [source: f.json]", "f.json", "read", True)
+    assert type(_decode_error({"type": "SchemaError"})) is SchemaError
 
 
 # ----------------------------------------------------------------------

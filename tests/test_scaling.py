@@ -1,5 +1,7 @@
 """Unit tests for the scaling-analysis module (repro.core.scaling)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,64 @@ class TestBottleneckRanking:
         for e in entries:
             assert isinstance(e["model"], str)
             assert "degree" in e and "r_squared" in e
+
+
+class TestMissingValuesOnTheMarblEnsemble:
+    """The 60-profile MARBL campaign (Fig. 16) with one bad cell or one
+    profile that lacks its node count: both are missing values, as in
+    ``repro.core.stats``, and neither reaches a model or a table."""
+
+    METRIC = "time per cycle (inc)"
+
+    @pytest.fixture(scope="class")
+    def profiles(self):
+        from repro.workloads import iter_marbl_profiles
+
+        return list(iter_marbl_profiles())
+
+    @staticmethod
+    def _thicket(profiles):
+        from repro import Thicket
+        from repro.caliper import profile_to_cali_dict
+        from repro.readers import read_cali_dict
+
+        return Thicket.from_caliperreader(
+            [read_cali_dict(profile_to_cali_dict(p)) for p in profiles])
+
+    def _model(self, tk):
+        from repro.model import ExtrapInterface
+
+        models = ExtrapInterface().model_thicket(tk, "numhosts", self.METRIC)
+        return str(models[tk.get_node("timeStepLoop")])
+
+    def _set_cell(self, tk, value):
+        """Set the first timeStepLoop cell of the metric to *value*."""
+        loop = tk.get_node("timeStepLoop")
+        row = next(i for i, t in enumerate(tk.dataframe.index.values)
+                   if t[0] is loop)
+        tk.dataframe.column(self.METRIC)[row] = value
+
+    def test_an_inf_cell_is_missing(self, profiles):
+        with_inf, with_nan = self._thicket(profiles), self._thicket(profiles)
+        self._set_cell(with_inf, math.inf)
+        self._set_cell(with_nan, math.nan)
+        table = strong_scaling_table(with_inf, "timeStepLoop", self.METRIC)
+        for col in ("mean", "std", "speedup", "efficiency"):
+            assert np.isfinite(table.column(col).astype(float)).all()
+        assert sum(table.column("runs")) == 59
+        assert self._model(with_inf) == self._model(with_nan)
+        assert "numhosts^(-1)" in self._model(with_inf)
+
+    def test_a_profile_without_numhosts_is_left_out(self, profiles):
+        dropped = 7
+        unlabeled = [dict(p, globals={k: v for k, v in p["globals"].items()
+                                      if k != "numhosts"})
+                     if i == dropped else p for i, p in enumerate(profiles)]
+        tk = self._thicket(unlabeled)
+        without = self._thicket(profiles[:dropped] + profiles[dropped + 1:])
+        table = strong_scaling_table(tk, "timeStepLoop", self.METRIC)
+        assert list(table.index.values) == [1, 2, 4, 8, 16, 32]
+        assert table.to_dict() == strong_scaling_table(
+            without, "timeStepLoop", self.METRIC).to_dict()
+        assert self._model(tk) == self._model(without)
+        assert "numhosts^(-1)" in self._model(tk)
