@@ -232,9 +232,11 @@ inject_hang(paths[2], seconds=30.0)
 inject_worker_crash(paths[5])
 PY
 CHAOS_REPORT="$STORE_DIR/chaos-report.json"  # NOT in the campaign dir
+CHAOS_CKPT="$SCRATCH/chaos-ckpt"
 rc=0
 python -m repro ingest "$CHAOS_DIR" --jobs 2 --task-timeout 2 \
-    --on-error collect --json > "$CHAOS_REPORT" || rc=$?
+    --on-error collect --checkpoint "$CHAOS_CKPT" --json \
+    > "$CHAOS_REPORT" || rc=$?
 if [ "$rc" -ne 3 ]; then
     echo "FAIL: chaos ingest exited $rc, expected 3 (partial)" >&2
     exit 1
@@ -254,6 +256,36 @@ assert sorted(by_type) == ["TaskTimeoutError", "WorkerCrashError"], by_type
 assert len(doc["loaded"]) == 6, len(doc["loaded"])
 print("chaos ingest: 6/8 loaded, hang and crash both attributed, "
       "exit code 3")
+PY
+# the same command again resumes from the journal: both quarantines
+# come back as the same typed errors (journal record -> rebuilt error)
+# and nothing is re-run, so the 30 s hang is not waited out
+CHAOS_RESUMED="$STORE_DIR/chaos-resumed.json"
+rc=0
+SECONDS=0
+python -m repro ingest "$CHAOS_DIR" --jobs 2 --task-timeout 2 \
+    --on-error collect --checkpoint "$CHAOS_CKPT" --json \
+    > "$CHAOS_RESUMED" || rc=$?
+if [ "$rc" -ne 3 ]; then
+    echo "FAIL: resumed chaos ingest exited $rc, expected 3" >&2
+    exit 1
+fi
+if [ "$SECONDS" -ge 20 ]; then
+    echo "FAIL: resumed chaos ingest took ${SECONDS}s; it re-ran a task" >&2
+    exit 1
+fi
+python - "$CHAOS_REPORT" "$CHAOS_RESUMED" <<'PY'
+import json
+import sys
+
+first, again = (json.load(open(p)) for p in sys.argv[1:3])
+key = lambda q: (q["source"], q["stage"], q["error_type"])
+assert sorted(map(key, again["quarantined"])) == \
+    sorted(map(key, first["quarantined"])), again["quarantined"]
+assert again["checkpoint"]["resumed_quarantined"] == 2, again["checkpoint"]
+assert again["checkpoint"]["resumed"] == 6, again["checkpoint"]
+print("chaos resume: both quarantines rebuilt from the journal with "
+      "their types, sources and stages, exit code 3")
 PY
 
 echo "== perf sentinel smoke (record, check, staged regression) =="

@@ -984,14 +984,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         profiler = SamplingProfiler(hz=profile_hz).start()
     try:
         rc = args.fn(args)
-    except (ClientError, ServeError) as e:
-        print(f"error [{e.stage}]: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_SERVE_FAILURE
-    except PersistenceError as e:
-        print(f"error [{e.stage}]: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_CORRUPT_STORE
     except ReproError as e:
         print(f"error [{e.stage}]: {type(e).__name__}: {e}", file=sys.stderr)
+        if isinstance(e, (ClientError, ServeError)):
+            return EXIT_SERVE_FAILURE
+        if isinstance(e, PersistenceError):
+            return EXIT_CORRUPT_STORE
         return EXIT_INGEST_FAILURE
     finally:
         if profiler is not None:

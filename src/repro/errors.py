@@ -45,11 +45,23 @@ Hierarchy::
 callers catching ``ValueError`` around :meth:`Thicket.from_caliperreader`
 keep working; ``PersistenceError`` does the same for callers catching
 ``ValueError`` around :meth:`Thicket.from_json` / :func:`load_thicket`.
+
+A typed error crosses a process or a file as one JSON *record*, which
+:meth:`ReproError.to_record` writes and :func:`from_record` reads (a
+worker's report to the supervisor, a journaled quarantine).  Its keys
+are ``error_type`` (the class name), ``error`` (``str(exc)``),
+``source``, ``stage`` and ``fields``: every other attribute the
+instance carries (``problems``, ``retry_after``, ``status``,
+``transient``, …), nested so that a record can share a dict with the
+journal's own ``kind``/``key``/``status``.  :func:`from_record` rebuilds the named
+class without calling its constructor, so every class rebuilds the
+same way; a name that is not a :class:`ReproError` of this module
+rebuilds as the caller's ``fallback``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping
 
 __all__ = [
     "ReproError",
@@ -76,7 +88,7 @@ __all__ = [
     "RetryBudgetExhaustedError",
     "ClientDeadlineError",
     "ClientCircuitOpenError",
-    "rebuild_error",
+    "from_record",
 ]
 
 
@@ -103,6 +115,15 @@ class ReproError(Exception):
         if self.source and self.source not in message:
             message = f"{message} [source: {self.source}]"
         super().__init__(message)
+
+    def to_record(self) -> dict[str, Any]:
+        """This error as a JSON-able record; :func:`from_record` is the
+        inverse (the module docstring lists the keys)."""
+        fields = {k: v for k, v in vars(self).items()
+                  if k not in ("source", "stage")}
+        return {"error_type": type(self).__name__, "error": str(self),
+                "source": self.source, "stage": self.stage,
+                "fields": fields}
 
 
 class ReaderError(ReproError):
@@ -422,13 +443,18 @@ class CorruptStoreError(PersistenceError):
     default_stage = "verify"
 
 
-def rebuild_error(type_name: str, message: str, *, source: Any = None,
-                  stage: str | None = None,
-                  fallback: type[ReproError] = ReproError) -> ReproError:
-    """Rebuild a recorded error (a journaled quarantine, a worker's
-    report) as the :class:`ReproError` subclass of this module named
-    *type_name*, or as *fallback* when no such subclass has that name."""
-    cls = globals().get(type_name)
+def from_record(record: Mapping[str, Any], *,
+                fallback: type[ReproError] = ReproError) -> ReproError:
+    """Rebuild the error a :meth:`ReproError.to_record` record names,
+    as *fallback* when ``error_type`` is not a :class:`ReproError` of
+    this module; a missing ``stage`` is the class default."""
+    cls = globals().get(str(record.get("error_type")))
     if not (isinstance(cls, type) and issubclass(cls, ReproError)):
         cls = fallback
-    return cls(message, source=source, stage=stage)
+    err = cls.__new__(cls)
+    Exception.__init__(err, str(record.get("error", "")))
+    source = record.get("source")
+    err.source = str(source) if source is not None else None
+    err.stage = record.get("stage") or cls.default_stage
+    err.__dict__.update(record.get("fields") or {})
+    return err

@@ -36,7 +36,7 @@ import logging
 import os
 from pathlib import Path
 
-from ..errors import PersistenceError
+from ..errors import PersistenceError, ReproError
 from ..ioutil import atomic_write_text, canonical_json, crc32_of, fsync_path
 from ..obs import counter as obs_counter
 from ..obs import span as obs_span
@@ -181,12 +181,12 @@ class CheckpointJournal:
                       "payload": path.name})
         obs_counter("ingest.checkpoint.recorded")
 
-    def record_quarantined(self, key: str, stage: str, error_type: str,
-                           error: str) -> None:
-        """Durably record a failed ingest so a resume can skip it."""
+    def record_quarantined(self, key: str, error: ReproError) -> None:
+        """Durably record a failed ingest so a resume can skip it: the
+        journal line carries the error's record
+        (:meth:`~repro.errors.ReproError.to_record`)."""
         self._append({"kind": "profile", "key": key,
-                      "status": "quarantined", "stage": stage,
-                      "error_type": error_type, "error": error})
+                      "status": "quarantined", **error.to_record()})
         obs_counter("ingest.checkpoint.recorded")
 
     def load_payload(self, record: dict) -> dict:

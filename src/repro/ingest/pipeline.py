@@ -74,7 +74,7 @@ from ..errors import (
     ReproError,
     SchemaError,
     WorkerCrashError,
-    rebuild_error,
+    from_record,
 )
 from ..graph import GraphFrame
 from ..obs import counter as obs_counter
@@ -331,9 +331,7 @@ class _Outcomes:
             gave_up.__cause__, error = error, gave_up
         if journal is not None:
             with self.critical():
-                journal.record_quarantined(source, error.stage,
-                                           type(error).__name__,
-                                           str(error))
+                journal.record_quarantined(source, error)
         if self.on_error == "strict":
             return error
         self.quarantine(idx, source, error)
@@ -370,10 +368,7 @@ class _Outcomes:
             return True
         if self.on_error == "strict":
             return False
-        error = rebuild_error(
-            rec.get("error_type", ""),
-            str(rec.get("error", "quarantined in a previous run")),
-            source=source, stage=rec.get("stage", "ingest"))
+        error = from_record({"source": source, **rec})
         obs_counter("ingest.checkpoint.quarantine_skipped")
         self.report.resumed_quarantined += 1
         self.quarantine(idx, source, error, where=" (from checkpoint)")
@@ -615,11 +610,8 @@ def load_ensemble(sources: Iterable[Any] | Any,
 
                 provenance = {
                     "ingest_policy": on_error,
-                    "dropped_profiles": [
-                        {"source": q.source, "stage": q.stage,
-                         "error_type": q.error_type, "error": str(q.error)}
-                        for q in report.quarantined
-                    ],
+                    "dropped_profiles": [q.to_dict()
+                                         for q in report.quarantined],
                     "repaired_profile_ids": [
                         {"source": r.source, "original": r.original,
                          "repaired": r.repaired}

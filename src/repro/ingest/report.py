@@ -33,6 +33,14 @@ class QuarantinedProfile:
         """Class name of the typed error, e.g. ``SchemaError``."""
         return type(self.error).__name__
 
+    def to_dict(self) -> dict:
+        """The form of ``provenance["dropped_profiles"]`` entries and,
+        with ``index``, of :meth:`IngestReport.to_dict` quarantines."""
+        record = self.error.to_record()
+        return {"source": self.source, "stage": self.stage,
+                "error_type": record["error_type"],
+                "error": record["error"]}
+
     def describe(self) -> str:
         """One-line ``source [stage] ErrorType: message`` rendering."""
         return (f"{self.source} [{self.stage}] "
@@ -134,12 +142,8 @@ class IngestReport:
             "policy": self.policy,
             "requested": self.requested,
             "loaded": [str(s) for s in self.loaded],
-            "quarantined": [
-                {"source": q.source, "stage": q.stage,
-                 "error_type": q.error_type, "error": str(q.error),
-                 "index": q.index}
-                for q in self.quarantined
-            ],
+            "quarantined": [{**q.to_dict(), "index": q.index}
+                            for q in self.quarantined],
             "repaired": [
                 {"source": r.source, "original": repr(r.original),
                  "repaired": repr(r.repaired)}

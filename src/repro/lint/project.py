@@ -53,7 +53,7 @@ __all__ = [
 
 #: bumped whenever the summary shape changes; part of the cache key so
 #: stale cache entries from older lint versions are never trusted
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 
 #: pseudo-lock token for ``with SignalGuard():`` critical sections —
 #: signal deferral is process-global, so one token is the right
@@ -82,6 +82,10 @@ _OS_FILE_ATTRS = {"fsync", "replace", "rename", "unlink", "copy",
                   "copytree", "rmtree", "move"}
 _SUBPROCESS_FUNCS = {"run", "Popen", "check_output", "check_call",
                      "call", "system"}
+# annotated containers whose subscript has a known item type: the one
+# argument of a sequence, the value (second) argument of a mapping
+_SEQUENCE_ANNOTATIONS = {"list", "Sequence"}
+_MAPPING_ANNOTATIONS = {"dict", "Mapping"}
 
 
 def module_name_of(path: str | Path) -> str:
@@ -203,6 +207,8 @@ class _Extractor(ast.NodeVisitor):
         self.try_stack: list[list[list[str]]] = []
         self.local_types_stack: list[dict[str, str]] = []
         self.local_funcs_stack: list[dict[str, str]] = []
+        # annotated parameters/locals: name → class, ``name[]`` → item
+        self.annotated_stack: list[dict[str, str]] = []
 
     # -- helpers -------------------------------------------------------
 
@@ -375,6 +381,11 @@ class _Extractor(ast.NodeVisitor):
         self.try_stack.append([])
         self.local_types_stack.append({})
         self.local_funcs_stack.append({})
+        self.annotated_stack.append({})
+        a = node.args
+        for arg in a.posonlyargs + a.args + a.kwonlyargs:
+            if arg.annotation is not None:
+                self._annotate(arg.arg, arg.annotation)
         for stmt in node.body:
             self.visit(stmt)
         self.func_stack.pop()
@@ -382,6 +393,7 @@ class _Extractor(ast.NodeVisitor):
         self.try_stack.pop()
         self.local_types_stack.pop()
         self.local_funcs_stack.pop()
+        self.annotated_stack.pop()
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
@@ -394,6 +406,8 @@ class _Extractor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if self.func_stack and isinstance(node.target, ast.Name):
+            self._annotate(node.target.id, node.annotation)
         if node.value is not None:
             self._record_assignment(node.target, node.value)
         self.generic_visit(node)
@@ -490,6 +504,43 @@ class _Extractor(ast.NodeVisitor):
             return self.s.module_types.get(parts[0])
         return None
 
+    def _annotate(self, name: str, ann: ast.AST) -> None:
+        """Type *name* from its annotation, ``| None`` aside: a class
+        ``X`` types ``name.m()``; ``list[X]``, ``Sequence[X]`` or
+        ``dict[K, X]`` types ``name[i].m()``."""
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            try:
+                ann = ast.parse(ann.value, mode="eval").body
+            except SyntaxError:
+                return
+        if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr) \
+                and isinstance(ann.right, ast.Constant) \
+                and ann.right.value is None:
+            ann = ann.left
+        key = name
+        if isinstance(ann, ast.Subscript):
+            head = _dotted(ann.value).split(".")[-1]
+            args = ann.slice.elts if isinstance(ann.slice, ast.Tuple) \
+                else [ann.slice]
+            if head in _SEQUENCE_ANNOTATIONS and len(args) == 1 \
+                    or head in _MAPPING_ANNOTATIONS and len(args) == 2:
+                key, ann = f"{name}[]", args[-1]
+        dotted = _dotted(ann) if isinstance(ann, (ast.Name, ast.Attribute)) \
+            else ""
+        if dotted and dotted.split(".")[-1][0].isupper():
+            self.annotated_stack[-1][key] = dotted
+
+    def _annotated_receiver(self, func: ast.AST) -> str | None:
+        """Annotated type of the receiver of ``x.m()`` or ``xs[i].m()``."""
+        if not (self.annotated_stack and isinstance(func, ast.Attribute)):
+            return None
+        receiver, suffix = func.value, ""
+        if isinstance(receiver, ast.Subscript):
+            receiver, suffix = receiver.value, "[]"
+        if not isinstance(receiver, ast.Name):
+            return None
+        return self.annotated_stack[-1].get(receiver.id + suffix)
+
     def _blocking_kind(self, node: ast.Call,
                        name: str) -> tuple[str, bool] | None:
         """(kind label, bounded?) when the call itself blocks."""
@@ -567,7 +618,8 @@ class _Extractor(ast.NodeVisitor):
                         and parts[0] in self.local_funcs_stack[-1]:
                     direct = self.local_funcs_stack[-1][parts[0]]
                 else:
-                    base_type = self._type_of_base(parts)
+                    base_type = self._annotated_receiver(node.func) \
+                        or self._type_of_base(parts)
                     if base_type and not base_type.startswith("<"):
                         record["name"] = f"{base_type}.{parts[-1]}"
                 if direct:

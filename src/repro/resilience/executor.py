@@ -52,7 +52,7 @@ from ..errors import (
     ReproError,
     TaskTimeoutError,
     WorkerCrashError,
-    rebuild_error,
+    from_record,
 )
 from ..obs import counter as obs_counter
 from ..obs import span as obs_span
@@ -126,32 +126,6 @@ def call_with_retries(fn: Callable[[Any], Any], item: Any,
 
 
 # ----------------------------------------------------------------------
-# error transport across the process boundary
-# ----------------------------------------------------------------------
-
-def _encode_error(exc: BaseException) -> dict:
-    """Picklable description of a task failure (used by the worker)."""
-    if isinstance(exc, ReproError):
-        return {"type": type(exc).__name__, "message": str(exc),
-                "source": exc.source, "stage": exc.stage,
-                "transient": bool(getattr(exc, "transient", False))}
-    return {"type": "ExecutionError",
-            "message": f"{type(exc).__name__}: {exc}",
-            "source": None, "stage": "execute", "transient": False}
-
-
-def _decode_error(info: dict) -> ReproError:
-    """Rebuild the typed error a worker reported, preserving its class."""
-    err = rebuild_error(info.get("type", ""),
-                        info.get("message", "task failed"),
-                        source=info.get("source"), stage=info.get("stage"),
-                        fallback=ExecutionError)
-    if info.get("transient"):
-        err.transient = True
-    return err
-
-
-# ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
 
@@ -188,8 +162,10 @@ def _worker_main(conn, fn: Callable[[Any], Any], heartbeat,
                 reply = (index, "ok", value, None)
             except BaseException as exc:  # pragma: allow - process boundary:
                 # nothing may escape a worker unreported; everything is
-                # encoded and re-typed on the supervisor side
-                reply = (index, "error", None, _encode_error(exc))
+                # sent as a record and re-typed on the supervisor side
+                error = exc if isinstance(exc, ReproError) else \
+                    ExecutionError(f"{type(exc).__name__}: {exc}")
+                reply = (index, "error", None, error.to_record())
             try:
                 conn.send(reply)
             except (BrokenPipeError, OSError):  # supervisor went away
@@ -393,7 +369,7 @@ class SupervisedExecutor:
         for conn in ready:
             worker = conns[conn]
             try:
-                index, status, value, errinfo = conn.recv()
+                index, status, value, record = conn.recv()
             except (EOFError, OSError):
                 self._handle_worker_death(worker, workers, pending, done,
                                           keys, started, "crash")
@@ -412,7 +388,7 @@ class SupervisedExecutor:
                                           attempts=attempt + 1,
                                           seconds=seconds)
                 continue
-            error = _decode_error(errinfo)
+            error = from_record(record, fallback=ExecutionError)
             self._retry_or_fail(pending, done, index, attempt, key,
                                 "error", error, seconds)
 

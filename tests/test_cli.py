@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import errors
 from repro.cli import main
 from repro.workloads import write_marbl_campaign, write_raja_campaign
 
@@ -261,6 +262,33 @@ class TestValidateCommand:
         assert doc["ok"] is True
         assert doc["store"] == str(store)
         assert doc["issues"] == []
+
+
+class TestTypedErrorExitCodes:
+    """``main`` turns an escaping ``ReproError`` into one stderr line
+    and an exit code chosen by class: client/serve 7, persistence 4,
+    any other 2 (a class that is both picks the first)."""
+
+    @pytest.mark.parametrize("error, code", [
+        (errors.TransportError("refused", source="GET h:1/healthz"), 7),
+        (errors.ClientCircuitOpenError("open", source="h:1"), 7),
+        (errors.OverloadedError("shed", reason="queue_full"), 7),
+        (errors.CorruptStoreError("bad sha", source="s.json"), 4),
+        (errors.PersistenceError("unwritable", source="s.json"), 4),
+        (errors.SchemaError("no nodes", source="p.json"), 2),
+        (errors.TaskTimeoutError("slow", source="p.json"), 2),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else v)
+    def test_exit_code_by_class(self, error, code, monkeypatch, tmp_path,
+                                capsys):
+        import repro.cli as cli
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "_cmd_validate", fail)
+        assert main(["validate", str(tmp_path / "s.json")]) == code
+        assert capsys.readouterr().err == (
+            f"error [{error.stage}]: {type(error).__name__}: {error}\n")
 
 
 class TestObservabilityFlags:

@@ -400,6 +400,44 @@ class TestPublicLeak:
         assert "public pick in exported module core/frame.py can " \
                "leak RuntimeError" in f.message
 
+    def test_method_reached_through_annotated_receiver(self, tmp_path):
+        # a parameter annotated with a project class, and subscripts of
+        # a parameter / local annotated list[X] / dict[K, X], type the
+        # receiver; an unannotated receiver is never guessed
+        root = write_tree(tmp_path, {
+            "__init__.py": "", "graph/__init__.py": "",
+            "ingest/__init__.py": "", "graph/node.py": """\
+            class Node:
+                def connect(self, child):
+                    if child is self:
+                        raise RuntimeError("cycle")
+                    return child
+            """, "ingest/api.py": """\
+            from repro.graph.node import Node
+
+            def link(parent: Node | None, child: Node):
+                return parent.connect(child)
+
+            def assemble(nodes: list[Node], child):
+                return nodes[0].connect(child)
+
+            def by_id(ids, child):
+                table: dict[int, Node] = {}
+                return table[ids[0]].connect(child)
+
+            def unannotated(parent, child):
+                return parent.connect(child)
+            """})
+        findings = project_lint(root, select=EXCFLOW_RULE_IDS).findings
+        assert [(f.rule_id, f.line) for f in findings] == [
+            ("RPR010", 3), ("RPR010", 6), ("RPR010", 9)]
+        assert findings[0].message == (
+            "public link in strict module ingest/api.py can leak "
+            "RuntimeError (via link:4 -> Node.connect:4); wrap it in a "
+            "typed ReproError at the boundary")
+        assert "(via assemble:7 -> Node.connect:4)" in findings[1].message
+        assert "(via by_id:11 -> Node.connect:4)" in findings[2].message
+
     def test_propagate_raises_fixpoint(self, tmp_path):
         root = write_tree(tmp_path, {"ingest/api.py": """\
             def a():

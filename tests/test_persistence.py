@@ -35,7 +35,12 @@ from repro.core.io import (
     save_thicket,
     thicket_to_payload,
 )
-from repro.errors import CorruptStoreError, PersistenceError, ReproError
+from repro.errors import (
+    CorruptStoreError,
+    PersistenceError,
+    ReproError,
+    SchemaError,
+)
 from repro.graph import GraphFrame
 from repro.ingest import CheckpointJournal, load_ensemble
 from repro.resilience import ResiliencePolicy
@@ -370,8 +375,9 @@ class TestCheckpointResume:
         with CheckpointJournal(ckpt) as journal:
             [key] = [k for k, r in journal.records.items()
                      if r["status"] == "quarantined"]
-            journal.record_quarantined(key, "read", error_type,
-                                       "journaled failure")
+            unknown = type(error_type, (ReproError,), {})
+            journal.record_quarantined(
+                key, unknown("journaled failure", stage="read"))
         _, report = load_ensemble(campaign, on_error="collect",
                                   checkpoint=ckpt)
         assert report.resumed_quarantined == 1
@@ -379,6 +385,24 @@ class TestCheckpointResume:
         assert type(q.error) is ReproError
         assert str(q.error).startswith("journaled failure")
         assert q.error.stage == "read"
+
+    def test_quarantine_journaled_before_records_resumes(self, campaign,
+                                                         tmp_path):
+        """A quarantine line from before errors were journaled as
+        records (``stage``/``error_type``/``error`` only, no ``source``
+        or ``fields``) resumes as its class, attributed to its key."""
+        key = str(campaign[3])
+        with CheckpointJournal(tmp_path / "ckpt") as journal:
+            journal._append({"kind": "profile", "key": key,
+                             "status": "quarantined", "stage": "validate",
+                             "error_type": "SchemaError",
+                             "error": "missing nodes [source: p3]"})
+        _, report = load_ensemble(campaign, on_error="collect",
+                                  checkpoint=tmp_path / "ckpt")
+        [q] = report.quarantined
+        assert type(q.error) is SchemaError
+        assert (str(q.error), q.error.source, q.error.stage) == (
+            "missing nodes [source: p3]", key, "validate")
 
     def test_strict_retries_previously_quarantined_source(
             self, campaign, tmp_path, monkeypatch):

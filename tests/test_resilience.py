@@ -4,13 +4,16 @@ Covers the ``repro.resilience`` subsystem end to end: policy
 validation and deterministic jittered backoff, the circuit breaker's
 full closed → open → half-open state machine under an injected clock,
 deadline enforcement and heartbeat liveness kills against real worker
-processes, parallel-vs-serial byte-identity of composed thickets, the
+processes, every ``ReproError`` class round-tripping as a record (JSON,
+worker pipe, checkpoint journal), parallel-vs-serial byte-identity of
+composed thickets, the
 SIGINT/SIGTERM signal-window guard around checkpoint journals, and a
 200-profile chaos acceptance run mixing hangs, worker crashes, and
 corrupt payloads.
 """
 
 import dataclasses
+import inspect
 import json
 import os
 import random
@@ -22,16 +25,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import errors as errors_module
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     ExecutionError,
     ReaderError,
+    ReproError,
     SchemaError,
     TaskTimeoutError,
     WorkerCrashError,
+    from_record,
 )
-from repro.ingest import load_ensemble
+from repro.ingest import CheckpointJournal, load_ensemble
 from repro.resilience import (
     CLOSED,
     HALF_OPEN,
@@ -396,19 +402,96 @@ def _crash_or_square(x):
     return x * x
 
 
+def _raise_unknown(name):
+    err = type(name, (ReproError,), {})("boom", source="f.json",
+                                        stage="read")
+    err.transient = True
+    raise err
+
+
 @pytest.mark.parametrize("name", ["NoSuchError", "Any"])
 def test_worker_error_of_an_unknown_type_decodes_as_execution_error(name):
     """A reported class name that is not a ``ReproError`` of
     ``repro.errors`` (``Any`` is a name there, but no error class)
     rebuilds as the executor's fallback, keeping what was reported."""
-    from repro.resilience.executor import _decode_error
-
-    err = _decode_error({"type": name, "message": "boom", "source": "f.json",
-                         "stage": "read", "transient": True})
+    [outcome] = SupervisedExecutor(
+        ResiliencePolicy(jobs=2, max_retries=0)).map(_raise_unknown, [name])
+    err = outcome.error
     assert type(err) is ExecutionError
     assert (str(err), err.source, err.stage, err.transient) == (
         "boom [source: f.json]", "f.json", "read", True)
-    assert type(_decode_error({"type": "SchemaError"})) is SchemaError
+    assert type(from_record({"error_type": "SchemaError"})) is SchemaError
+
+
+# ----------------------------------------------------------------------
+# every ReproError round-trips as a record: JSON, worker pipe, journal
+# ----------------------------------------------------------------------
+
+ERROR_CLASSES = sorted(
+    (obj for obj in vars(errors_module).values()
+     if isinstance(obj, type) and issubclass(obj, ReproError)),
+    key=lambda cls: cls.__name__)
+
+# one value per constructor argument any class takes; each class gets
+# the ones its signature names
+_SAMPLE_ARGS = {
+    "source": "runs/p7.json", "stage": "probe",
+    "problems": ["unknown metric 'tiem'", "unbound identifier 'b'"],
+    "suggestions": {"tiem": ["time", "time (exc)"]},
+    "retry_after": 2.5, "reason": "queue_full", "status": 503,
+    "code": "overloaded", "request_id": "req-42",
+}
+
+
+def _sample_error(name: str) -> ReproError:
+    cls = getattr(errors_module, name)
+    params = inspect.signature(cls).parameters
+    err = cls("sample failure",
+              **{k: v for k, v in _SAMPLE_ARGS.items() if k in params})
+    err.transient = True
+    return err
+
+
+def _raise_sample(name):
+    raise _sample_error(name)
+
+
+def _assert_same_error(got, want):
+    assert type(got) is type(want)
+    assert (str(got), got.source, got.stage) == (
+        str(want), want.source, want.stage)
+    assert vars(got) == vars(want)   # every class field, transient too
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_record_round_trips_through_json(cls):
+    want = _sample_error(cls.__name__)
+    record = json.loads(json.dumps(want.to_record()))
+    _assert_same_error(from_record(record), want)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_round_trips_through_a_worker(cls):
+    """A pool task's typed error reaches the parent whole: ``map``
+    never raises for it, whatever the class's constructor takes."""
+    ex = SupervisedExecutor(ResiliencePolicy(jobs=2, max_retries=0))
+    [outcome] = ex.map(_raise_sample, [cls.__name__])
+    assert outcome.status == "error" and not outcome.ok
+    _assert_same_error(outcome.error, _sample_error(cls.__name__))
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_round_trips_through_the_journal(cls, tmp_path):
+    want = _sample_error(cls.__name__)
+    key = str(tmp_path / "p.json")
+    with CheckpointJournal(tmp_path / "ckpt") as journal:
+        journal.record_quarantined(key, want)
+    tk, report = load_ensemble([key], on_error="collect",
+                               checkpoint=tmp_path / "ckpt")
+    assert tk is None and report.resumed_quarantined == 1
+    [q] = report.quarantined
+    assert (q.source, q.stage) == (key, want.stage)
+    _assert_same_error(q.error, want)
 
 
 # ----------------------------------------------------------------------
