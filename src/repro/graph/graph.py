@@ -75,7 +75,14 @@ class Graph:
         return sum(1 for _ in self.traverse())
 
     def node_order(self) -> list[Node]:
-        return list(self.traverse())
+        """Every node in pre-order, as :meth:`traverse` yields them."""
+        order: list[Node] = []
+        stack = self.roots[::-1]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(reversed(node.children))
+        return order
 
     def enumerate_traverse(self) -> None:
         """Assign stable node ids in pre-order."""

@@ -53,7 +53,7 @@ __all__ = [
 
 #: bumped whenever the summary shape changes; part of the cache key so
 #: stale cache entries from older lint versions are never trusted
-SUMMARY_SCHEMA_VERSION = 2
+SUMMARY_SCHEMA_VERSION = 3
 
 #: pseudo-lock token for ``with SignalGuard():`` critical sections —
 #: signal deferral is process-global, so one token is the right
@@ -597,12 +597,28 @@ class _Extractor(ast.NodeVisitor):
             if name:
                 fn = self.func_stack[-1]
                 parts = name.split(".")
+                direct = None
+                typed = None
+                if len(parts) == 1 and self.local_funcs_stack \
+                        and parts[0] in self.local_funcs_stack[-1]:
+                    direct = self.local_funcs_stack[-1][parts[0]]
+                else:
+                    base_type = self._annotated_receiver(node.func) \
+                        or self._type_of_base(parts)
+                    if base_type and not base_type.startswith("<"):
+                        typed = f"{base_type}.{parts[-1]}"
                 kind = self._blocking_kind(node, name)
                 if kind is not None:
                     label, bounded = kind
-                    fn["blocking"].append({
-                        "kind": label, "line": node.lineno,
-                        "locks": self._held(), "bounded": bounded})
+                    op = {"kind": label, "line": node.lineno,
+                          "locks": self._held(), "bounded": bounded}
+                    method = typed or (name if len(parts) > 1
+                                       and parts[0] != "socket" else None)
+                    if method and label.startswith("socket "):
+                        # matched by method name alone; the project
+                        # index drops it when the call is a project method
+                        op["method"] = method
+                    fn["blocking"].append(op)
                     if label == "lock acquire()":
                         tok = self._lock_token(node.func.value) \
                             if isinstance(node.func, ast.Attribute) else None
@@ -611,17 +627,8 @@ class _Extractor(ast.NodeVisitor):
                                 "lock": tok[0], "line": node.lineno,
                                 "held": self._held()})
                 record: dict[str, Any] = {
-                    "name": name, "line": node.lineno,
+                    "name": typed or name, "line": node.lineno,
                     "locks": self._held(), "caught": self._caught()}
-                direct = None
-                if len(parts) == 1 and self.local_funcs_stack \
-                        and parts[0] in self.local_funcs_stack[-1]:
-                    direct = self.local_funcs_stack[-1][parts[0]]
-                else:
-                    base_type = self._annotated_receiver(node.func) \
-                        or self._type_of_base(parts)
-                    if base_type and not base_type.startswith("<"):
-                        record["name"] = f"{base_type}.{parts[-1]}"
                 if direct:
                     record["resolved"] = direct
                 fn["calls"].append(record)
@@ -653,6 +660,13 @@ class ProjectIndex:
             for qual, record in s.functions.items():
                 self.functions[qual] = record
                 self.function_module[qual] = s
+        # `node.connect()` or `self.accept()` on a project class is that
+        # class's method, not a socket operation
+        for qual, record in self.functions.items():
+            s = self.function_module[qual]
+            record["blocking"] = [
+                b for b in record["blocking"] if "method" not in b
+                or self.resolve_call(s, record, {"name": b["method"]}) is None]
 
     @cached_property
     def call_graph(self):

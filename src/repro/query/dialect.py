@@ -21,12 +21,25 @@ Grammar (informal):
 
 Comparisons on a node bound to an ensemble row apply Thicket's
 ``.all()`` semantics: every profile's value must satisfy the test.
+
+The parser turns ``WHERE`` into an expression of comparisons joined by
+``and``/``or``/``not`` and gives each bound query node two forms of
+it.  The *predicate* reads one node's row view, comparison by
+comparison, for any mapping of column name to a value or a Series of
+values.  The *column form* (``QueryNode.columns``) hands each
+comparison to a caller-supplied ``compare(ref, check)`` that tests a
+whole column at once and returns one boolean per node;
+:func:`repro.core.querying.query_thicket` evaluates a thicket's
+queries this way and combines the per-node arrays.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 from ..errors import ReproError
 from .matcher import QueryMatcher
@@ -135,11 +148,7 @@ class _Parser:
 
         bindings = {name: idx for idx, (_, name) in enumerate(steps)
                     if name is not None}
-        predicates: dict[int, Callable[[Any], bool]] = {}
-        if self.accept("keyword", "WHERE"):
-            expr = self._disjunction()
-            for name, idx in bindings.items():
-                predicates[idx] = _bind(expr, name)
+        where = self._disjunction() if self.accept("keyword", "WHERE") else None
         if self.peek() is not None:
             raise QuerySyntaxError(
                 f"trailing input at position {self.peek().pos}")
@@ -153,9 +162,14 @@ class _Parser:
                 unbound.append((ident, ref))
 
         nodes = []
-        for idx, (quantifier, _name) in enumerate(steps):
-            nodes.append(QueryNode(quantifier, predicates.get(idx),
-                                   refs=refs_of.get(idx, [])))
+        for idx, (quantifier, name) in enumerate(steps):
+            if where is None or bindings.get(name) != idx:
+                nodes.append(QueryNode(quantifier, refs=refs_of.get(idx, [])))
+            else:
+                nodes.append(QueryNode(
+                    quantifier, partial(_row_truth, where, name),
+                    refs=refs_of.get(idx, []),
+                    columns=partial(_column_truth, where, name)))
         matcher = QueryMatcher(nodes)
         matcher.unbound_refs = unbound
         return matcher
@@ -179,32 +193,30 @@ class _Parser:
         self.expect("rparen")
         return quantifier, name
 
-    # predicate expression tree: returns fn(bound_name, row) -> bool
+    # WHERE expression: a _Comparison, or ("and" | "or", left, right),
+    # or ("not", inner)
     def _disjunction(self):
         left = self._conjunction()
         while self.accept("keyword", "OR"):
-            right = self._conjunction()
-            left = _combine(left, right, lambda a, b: a or b)
+            left = ("or", left, self._conjunction())
         return left
 
     def _conjunction(self):
         left = self._unary()
         while self.accept("keyword", "AND"):
-            right = self._unary()
-            left = _combine(left, right, lambda a, b: a and b)
+            left = ("and", left, self._unary())
         return left
 
     def _unary(self):
         if self.accept("keyword", "NOT"):
-            inner = self._unary()
-            return lambda name, row: not inner(name, row)
+            return ("not", self._unary())
         if self.accept("lparen"):
             inner = self._disjunction()
             self.expect("rparen")
             return inner
         return self._comparison()
 
-    def _comparison(self):
+    def _comparison(self) -> "_Comparison":
         ident = self.expect("word").value
         self.expect("dot")
         attr = _unquote(self.expect("string").value)
@@ -217,29 +229,53 @@ class _Parser:
         else:
             raise QuerySyntaxError(
                 f"expected literal at position {lit_tok.pos}")
-        self.comparisons.append((ident, AttrRef(attr, op, literal)))
-        check = _scalar_check(op, literal)
-
-        def compare(name: str, row: Any) -> bool:
-            if name != ident:
-                return True  # comparison constrains a different binding
-            try:
-                value = row[attr]
-            except (KeyError, TypeError):
-                return False
-            if hasattr(value, "apply") and hasattr(value, "all"):
-                return all(check(v) for v in value)  # stops at the first miss
-            return bool(check(value))
-
-        return compare
+        ref = AttrRef(attr, op, literal)
+        self.comparisons.append((ident, ref))
+        return _Comparison(ident, ref, _scalar_check(op, literal))
 
 
-def _combine(left, right, op):
-    return lambda name, row: op(left(name, row), right(name, row))
+class _Comparison(NamedTuple):
+    """``ident."attr" op literal``; *check* tests one cell."""
+
+    ident: str
+    ref: AttrRef
+    check: Callable[[Any], bool]
 
 
-def _bind(expr, name: str) -> Callable[[Any], bool]:
-    return lambda row: expr(name, row)
+def _row_truth(expr, name: str, row: Any) -> bool:
+    """*expr* for the node bound to *name*, read from its row view."""
+    if isinstance(expr, _Comparison):
+        if expr.ident != name:
+            return True  # comparison constrains a different binding
+        try:
+            value = row[expr.ref.attr]
+        except (KeyError, TypeError):
+            return False
+        if hasattr(value, "apply") and hasattr(value, "all"):
+            return all(map(expr.check, value))  # stops at the first miss
+        return bool(expr.check(value))
+    if expr[0] == "not":
+        return not _row_truth(expr[1], name, row)
+    if expr[0] == "and":
+        return _row_truth(expr[1], name, row) and _row_truth(expr[2], name, row)
+    return _row_truth(expr[1], name, row) or _row_truth(expr[2], name, row)
+
+
+def _column_truth(expr, name: str,
+                  compare: Callable[[AttrRef, Callable[[Any], bool]], Any]):
+    """*expr* for every node at once, as one boolean per node.
+
+    ``compare(ref, check)`` answers one comparison for every node; the
+    answers are combined elementwise.  The result is a scalar ``True``
+    when no comparison constrains *name*.
+    """
+    if isinstance(expr, _Comparison):
+        return compare(expr.ref, expr.check) if expr.ident == name else True
+    if expr[0] == "not":
+        return np.logical_not(_column_truth(expr[1], name, compare))
+    combine = np.logical_and if expr[0] == "and" else np.logical_or
+    return combine(_column_truth(expr[1], name, compare),
+                   _column_truth(expr[2], name, compare))
 
 
 def _unquote(text: str) -> str:

@@ -9,7 +9,7 @@ failures, linear in practice on call trees.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ..obs import counter as obs_counter
 from ..obs import span as obs_span
@@ -17,26 +17,33 @@ from .primitives import QueryNode
 
 __all__ = ["match_graph", "match_paths"]
 
+NodeTest = Callable[[Any], bool]
+
 
 def match_paths(graph, query: list[QueryNode],
-                row_view: Callable[[Any], Any]) -> list[tuple]:
-    """All matched paths, each a tuple of call-tree nodes."""
-    with obs_span("query.match_paths", query_len=len(query)) as s:
-        results, n_evals = _match_paths(graph, query, row_view)
-        s.set("paths", len(results))
-        obs_counter("query.predicate_evals", n_evals)
-        obs_counter("query.paths_matched", len(results))
-    return results
+                row_view: Callable[[Any], Any],
+                tests: Sequence[NodeTest | None] | None = None) -> list[tuple]:
+    """All matched paths, each a tuple of call-tree nodes.
+
+    Query node *qi* holds for a node when ``tests[qi](node)`` is true,
+    or, without such a test, when its predicate holds for
+    ``row_view(node)``.
+    """
+    return _paths(graph.node_order(), query, row_view, tests)
 
 
-def _match_paths(graph, query: list[QueryNode],
-                 row_view: Callable[[Any], Any]) -> tuple[list[tuple], int]:
-    pred_cache: dict[tuple[int, int], bool] = {}
+def _paths(order: list, query: list[QueryNode],
+           row_view: Callable[[Any], Any],
+           tests: Sequence[NodeTest | None] | None) -> list[tuple]:
+    tests = tests or [None] * len(query)
+    pred_cache: dict[tuple[Any, int], bool] = {}
 
     def satisfied(node, qi: int) -> bool:
-        key = (id(node), qi)
+        key = (node, qi)
         if key not in pred_cache:
-            pred_cache[key] = query[qi].matches(row_view(node))
+            test = tests[qi]
+            pred_cache[key] = (test(node) if test is not None
+                               else query[qi].matches(row_view(node)))
         return pred_cache[key]
 
     results: list[tuple] = []
@@ -66,25 +73,28 @@ def _match_paths(graph, query: list[QueryNode],
             qi += 1
             walk(node, qi, 0, ())
 
-    for node in graph.traverse():
-        start(node)
-    return results, len(pred_cache)
+    with obs_span("query.match_paths", query_len=len(query)) as s:
+        for node in order:
+            start(node)
+        s.set("paths", len(results))
+        obs_counter("query.predicate_evals", len(pred_cache))
+        obs_counter("query.paths_matched", len(results))
+    return results
 
 
 def match_graph(graph, query: list[QueryNode],
-                row_view: Callable[[Any], Any]) -> list:
-    """Union of nodes over all matched paths, in graph traversal order."""
+                row_view: Callable[[Any], Any],
+                tests: Sequence[NodeTest | None] | None = None) -> list:
+    """Union of nodes over all matched paths, in graph traversal order.
+
+    *tests* is as for :func:`match_paths`.
+    """
     if not query:
         return []
     with obs_span("query.match_graph", query_len=len(query)) as s:
-        matched: set[int] = set()
-        keep = []
-        for path in match_paths(graph, query, row_view):
-            for node in path:
-                if id(node) not in matched:
-                    matched.add(id(node))
-                    keep.append(node)
-        order = {id(n): i for i, n in enumerate(graph.traverse())}
-        keep.sort(key=lambda n: order[id(n)])
+        order = graph.node_order()
+        matched = {node for path in _paths(order, query, row_view, tests)
+                   for node in path}
+        keep = [node for node in order if node in matched]
         s.set("matched_nodes", len(keep))
     return keep

@@ -89,11 +89,15 @@ class QueryMatcher:
         return f"QueryMatcher({[q.quantifier for q in self.query_nodes]!r})"
 
     # ------------------------------------------------------------------
-    def apply(self, graph, row_view: Callable[[Any], Any]) -> list:
+    def apply(self, graph, row_view: Callable[[Any], Any],
+              tests: Sequence[Callable[[Any], bool] | None] | None = None
+              ) -> list:
         """Run the query; returns the matched call-tree nodes.
 
-        *row_view* maps a node to the mapping its predicates receive.
+        *row_view* maps a node to the mapping its predicates receive;
+        ``tests[i]``, where given, decides query node *i* for a node
+        instead (see :func:`repro.query.match_paths`).
         """
         from .engine import match_graph
 
-        return match_graph(graph, self.query_nodes, row_view)
+        return match_graph(graph, self.query_nodes, row_view, tests)

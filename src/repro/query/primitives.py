@@ -98,17 +98,27 @@ class QueryNode:
     it came from a dialect with statically known structure (string /
     object dialect); it is ``None`` for opaque fluent-API callables,
     in which case validation can only check quantifier structure.
+
+    ``columns`` is the predicate's column form, when it has one (the
+    string dialect's, or no predicate at all): called with a
+    ``compare(ref, check)`` that answers one comparison for every node
+    of a thicket, it returns one boolean per node (see
+    :func:`repro.core.querying.query_thicket`).  It is ``None`` for a
+    predicate that can only be called on a row view.
     """
 
-    __slots__ = ("min_count", "max_count", "predicate", "quantifier", "refs")
+    __slots__ = ("min_count", "max_count", "predicate", "quantifier", "refs",
+                 "columns")
 
     def __init__(self, quantifier: str | int = ".",
                  predicate: Predicate | None = None,
-                 refs: "list[AttrRef] | None" = None):
+                 refs: "list[AttrRef] | None" = None,
+                 columns: "Callable[[Any], Any] | None" = None):
         self.quantifier = quantifier
         self.min_count, self.max_count = parse_quantifier(quantifier)
         self.predicate = predicate or _always_true
         self.refs = refs
+        self.columns = _always_true if predicate is None else columns
 
     def matches(self, row: Any) -> bool:
         """Whether one node's attribute row satisfies the predicate."""
@@ -125,7 +135,9 @@ def attr_predicate(attrs: dict[str, Any]) -> Predicate:
 
     * an exact value (``{"name": "main"}``);
     * a regex string prefixed with ``"~"`` (full-match);
-    * a comparison string for numeric columns (``{"time": "> 0.5"}``).
+    * a comparison string for numeric columns (``{"time": "> 0.5"}``),
+      false for a value (or bound) that is not a number, as in the
+      string dialect.
 
     The predicate receives the node's *row view* — a mapping from column
     name to either a scalar (single profile) or a Series of per-profile
@@ -139,8 +151,10 @@ def attr_predicate(attrs: dict[str, Any]) -> Predicate:
             return value is not None and re.fullmatch(spec[1:], str(value)) is not None
         if isinstance(spec, str) and spec[:2].strip() in {"<", ">", "<=", ">=", "==", "!="}:
             op, _, rhs = spec.partition(" ")
-            rhs_v = float(rhs)
-            v = float(value)
+            try:
+                v, rhs_v = float(value), float(rhs)
+            except (TypeError, ValueError):
+                return False
             return {
                 "<": v < rhs_v, "<=": v <= rhs_v, ">": v > rhs_v,
                 ">=": v >= rhs_v, "==": v == rhs_v, "!=": v != rhs_v,

@@ -8,7 +8,8 @@ the three composition row orders (``from_caliperreader``,
 "columns")``).  It works on plain lists of labels and dicts of numpy
 columns and uses no index or join code of :mod:`repro.frame`; only the
 cell-level :func:`~repro.frame.ops.coerce_column` and the graph code
-(union, squash, name matching, the query engine) are shared.
+(union, squash, name matching, the query engine) are shared.  A query
+is answered by the frozen per-node evaluator of ``frozen_query``.
 
 Under hypothesis, on duplicate labels, mixed int/str/None labels that
 cannot be compared, empty frames and partly overlapping call trees, the
@@ -31,7 +32,6 @@ from repro.frame import (
     DataFrame,
     Index,
     MultiIndex,
-    Series,
     concat_columns,
     concat_rows,
     join_on_index,
@@ -40,7 +40,8 @@ from repro.frame import (
 from repro.frame.ops import coerce_column
 from repro.graph import GraphFrame, union_many
 from repro.graph.squash import squash_graph
-from repro.query import parse_string_dialect
+
+from . import frozen_query
 
 NAMES = ["k", "p"]
 
@@ -382,15 +383,9 @@ def ref_thicket_intersection(tk) -> RefThicket:
     return RefThicket(graph, ref_rekey(perf, node_map))
 
 
-def ref_query(tk, query: str) -> RefThicket:
+def ref_query(tk, query) -> RefThicket:
     labels = list(tk.dataframe.index.values)
-
-    def row_view(node):
-        pos = [i for i, t in enumerate(labels) if t[0] is node]
-        return {c: Series(list(tk.dataframe.column(c)[pos]), name=c)
-                for c in tk.dataframe.columns}
-
-    matched = set(parse_string_dialect(query).apply(tk.graph, row_view))
+    matched = set(frozen_query.matched_nodes(tk, query))
     perf = ref_take(ref_of(tk.dataframe),
                     [i for i, t in enumerate(labels) if t[0] in matched])
     graph, node_map = squash_graph(tk.graph, matched)
@@ -693,9 +688,9 @@ def test_thicket_intersection(literals):
 
 
 QUERIES = [
-    'MATCH (".", p) WHERE p."name" = "init"',
-    'MATCH (".", p)->("*") WHERE p."name" = "solve"',
-    'MATCH (".", p) WHERE p."name" =~ "(io|dot|write)"',
+    ([(".", "p")], ("cmp", "p", "name", "=", "init")),
+    ([(".", "p"), ("*", None)], ("cmp", "p", "name", "=", "solve")),
+    ([(".", "p")], ("cmp", "p", "name", "=~", "(io|dot|write)")),
 ]
 
 
@@ -703,5 +698,6 @@ QUERIES = [
 @given(literals=partial_literals(), query=st.sampled_from(QUERIES))
 def test_query_squash(literals, query):
     tk = _compose(literals, [1] * len(literals))
-    assert_same_thicket(tk.query(query, squash=True, validate=False),
+    assert_same_thicket(tk.query(frozen_query.render(query), squash=True,
+                                 validate=False),
                         ref_query(tk, query))

@@ -192,6 +192,35 @@ class TestBlockingUnderLock:
         assert f.rule_id == "RPC201" and f.line == 8
 
 
+    def test_project_method_named_connect_is_not_a_socket_op(self,
+                                                             tmp_path):
+        root = write_tree(tmp_path, {
+            "node.py": """\
+                class Node:
+                    def connect(self, child):
+                        self.child = child
+                """,
+            "app.py": """\
+                import socket
+                import threading
+
+                from .node import Node
+
+                _LOCK = threading.Lock()
+
+                def link(parent: Node, child):
+                    with _LOCK:
+                        parent.connect(child)
+
+                def dial(addr):
+                    with _LOCK:
+                        socket.socket(socket.AF_INET).connect(addr)
+                """})
+        findings = project_lint(root).findings
+        assert {(f.rule_id, f.line) for f in findings} == {("RPC201", 14)}
+        assert any("socket connect()" in f.message for f in findings)
+
+
 # ----------------------------------------------------------------------
 # RPC202: lock-acquisition-order cycles
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every ``core.stats`` reduction, every named ``GroupBy.agg``, and the
 rows kept by ``filter_profile``, ``filter_stats``, ``query_thicket``
 and ``Thicket.intersection``, and ``stats.grouped_by_metadata`` are
 compared with a deliberately naive reference: a dict of per-node value
-lists plus numpy.  The generated
+lists plus numpy.  Drawn string-dialect queries are compared with the
+frozen per-node evaluator of ``frozen_query``.  The generated
 ensembles carry NaN and ±inf values, nodes with no rows, nodes whose
 values are all non-finite, an object-dtype numeric column holding
 ``None``, perf rows in shuffled (not node) order, single-profile
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Thicket, concat_thickets
@@ -29,7 +30,10 @@ from repro.core.querying import query_thicket
 from repro.frame import DataFrame, Index, MultiIndex
 from repro.frame.index import sort_positions
 from repro.graph import GraphFrame
+from repro.graph.squash import squash_graph
 from repro.query import parse_string_dialect
+
+from . import frozen_query
 
 RTOL = 1e-9
 ATOL = 1e-12  # values that are zero up to rounding (a constant's variance)
@@ -401,6 +405,105 @@ def test_query_keeps_naive_rows(spec, whole, squash):
         assert ({n.frame.name for n in out.graph}
                 == {n.frame.name for n in matched})
     assert_stored_cleanly(out)
+
+
+# --- string-dialect queries against the frozen per-node evaluator ----------
+
+NUMBERS = st.sampled_from([("0", 0.0), ("1", 1.0), ("2", 2.0), ("-1", -1.0),
+                           ("0.5", 0.5), ("25", 25.0), ("1000", 1000.0)])
+# per column: literals that split its cells, then some that do not
+LITERALS = {
+    "name": st.sampled_from(["main", "solve", "kernel_a", "io", "", "1"]),
+    "time": NUMBERS | st.sampled_from(["25", "0.5", "nan", "inf", "main"]),
+    "obj": NUMBERS | st.sampled_from(["1", "1.0", "25", "nan", "None"]),
+    "missing": NUMBERS | st.just("main"),
+}
+REGEXES = {
+    "name": st.sampled_from(["k.*", "(io|init)", ".*n.*", "main", "k"]),
+    "time": st.sampled_from([".*", r"[0-9.]+", r"[0-9]\..*", "nan", "inf"]),
+    "obj": st.sampled_from([".*", "[0-9]+", r"[0-9.]+", r"1\.0", "nan",
+                            "None|[0-9]+", "inf"]),
+    "missing": st.just(".*"),
+}
+
+
+@st.composite
+def comparisons(draw):
+    attr = draw(st.sampled_from(["name", "name", "time", "obj", "obj",
+                                 "missing"]))
+    op = draw(st.sampled_from(["=", "!=", "<", "<=", ">", ">=", "=~"]))
+    literal = draw(REGEXES[attr] | NUMBERS if op == "=~" else LITERALS[attr])
+    return ("cmp", draw(st.sampled_from(["p", "p", "p", "q"])), attr, op,
+            literal)
+
+
+where_clauses = st.recursive(comparisons(), lambda inner: st.one_of(
+    st.tuples(st.just("not"), inner),
+    st.tuples(st.sampled_from(["and", "or"]), inner, inner)), max_leaves=4)
+
+
+@st.composite
+def queries(draw):
+    """Up to three steps, one of them (at least) bound to ``p``."""
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from([".", ".", "*", "+", 0, 1, 2]),
+        st.sampled_from([None, "p", "q"])), min_size=1, max_size=3))
+    k = draw(st.integers(0, len(steps) - 1))
+    steps[k] = (steps[k][0], "p")
+    return steps, draw(st.one_of(where_clauses, st.none()))
+
+
+def query_answer(tk, matched, squash: bool) -> tuple:
+    """Row keys and graph names of keeping the *matched* nodes."""
+    keep = set(matched)
+    graph = squash_graph(tk.graph, keep)[0] if squash else tk.graph
+    return (naive_kept(tk, lambda t: t[0] in keep),
+            [n.frame.name for n in graph.traverse()])
+
+
+@settings(deadline=None)
+@given(ensembles(), queries(), st.sampled_from([build, build, multi_arch]),
+       st.booleans())
+@example(spec={"n_profiles": 2, "cells": [(0, 0), (0, 1)], "time": [1.0, 1.0],
+               "obj": [None, 2]},
+         query=([(".", "p")], ("cmp", "p", "obj", "=~", ".*")), make=build,
+         squash=True)
+def test_string_query_matches_frozen_evaluator(spec, query, make, squash):
+    tk = make(spec)
+    out = query_thicket(tk, parse_string_dialect(frozen_query.render(query)),
+                        squash=squash)
+    got = (row_keys(out), [n.frame.name for n in out.graph.traverse()])
+    want = query_answer(tk, frozen_query.matched_nodes(tk, query), squash)
+    if got != want:
+        # the one allowed difference, test_regex_reads_stored_object_cells
+        assert frozen_query.uses(query[1], "=~", "obj")
+        assert got == query_answer(
+            tk, frozen_query.matched_nodes(tk, query, infer=False), squash)
+
+
+def test_regex_reads_stored_object_cells():
+    """``=~`` sees ``str()`` of the stored cell of an object column.
+
+    The per-node evaluator inferred a float array for a node whose
+    object cells mixed ``None``/bool/int/float, so ``=~`` saw
+    ``'nan'``/``'1.0'`` where the stored cell is ``None``/``1``/``True``.
+    """
+    spec = {"n_profiles": 2, "cells": [(0, 0), (0, 1), (1, 0), (1, 1),
+                                       (2, 0), (2, 1)],
+            "time": [1.0] * 6, "obj": [None, 2.5, 1, 2.5, True, 2.5]}
+    tk = build(spec)  # main: None, 2.5; solve: 1, 2.5; init: True, 2.5
+    measured = {"main", "solve", "init"}
+    for regex, now, before in [
+            (r"nan|2\.5", set(), {"main"}),
+            (r"1\.0|2\.5", set(), {"solve", "init"}),
+            (r"1|2\.5", {"solve"}, set()),
+            (r"True|2\.5", {"init"}, set())]:
+        query = ([(".", "p")], ("cmp", "p", "obj", "=~", regex))
+        out = tk.query(frozen_query.render(query), squash=False,
+                       validate=False)
+        assert {t[0].frame.name for t in out.dataframe.index.values} == now
+        old = frozen_query.matched_nodes(tk, query)
+        assert {n.frame.name for n in old} & measured == before
 
 
 @settings(max_examples=40, deadline=None)

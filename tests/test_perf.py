@@ -485,13 +485,15 @@ class TestPerfWorkflow:
         # slower than the rest and widen the two-run baseline past the
         # injected slowdown; run and discard one before recording
         self._ingest_traces(campaign, tmp_path, 1, "warmup")
-        base = self._ingest_traces(campaign, tmp_path, 2, "base")
+        # three baseline runs: with two, one slow run leaves Welch's t
+        # short of significance against the injected 0.5 s (p = 0.17)
+        base = self._ingest_traces(campaign, tmp_path, 3, "base")
         assert main(["perf", "record", *store, *base]) == 0
         clean = self._ingest_traces(campaign, tmp_path, 3, "clean")
         assert main(["perf", "check", *store, *clean, *out]) == 0
         doc = json.loads(verdict_path.read_text())
         assert doc["ok"] is True
-        assert doc["baseline_runs"] == 2 and doc["candidate_runs"] == 3
+        assert doc["baseline_runs"] == 3 and doc["candidate_runs"] == 3
 
         inject_slowdown(sorted(campaign.glob("*.json"))[0], seconds=0.5)
         slow = self._ingest_traces(campaign, tmp_path, 3, "slow")

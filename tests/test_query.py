@@ -182,3 +182,17 @@ class TestAttrPredicate:
         pred = attr_predicate({"name": "~Stream_.*"})
         assert pred({"name": "Stream_DOT"})
         assert not pred({"name": "Apps_VOL3D"})
+
+    def test_order_spec_on_a_non_number_is_false(self):
+        pred = attr_predicate({"name": "< 0.5"})
+        assert not pred({"name": "main"})
+        assert not pred({"name": None})
+        assert pred({"name": 0.25})
+
+
+def test_object_dialect_order_spec_on_a_string_column(raja_thicket):
+    """Like ``p."name" < 0.5`` in the string dialect: no node matches."""
+    out = raja_thicket.query([(".", {"name": "< 0.5"})], validate=False)
+    assert len(out.dataframe) == 0
+    assert len(raja_thicket.query('MATCH (".", p) WHERE p."name" < 0.5',
+                                  validate=False).dataframe) == 0
