@@ -26,23 +26,15 @@ def filter_metadata(tk, predicate: Callable[[dict], bool]):
 
 def filter_profile(tk, profiles: Sequence[Any]):
     """Keep only the given profile ids (helper shared by filters/groupby)."""
-    from .thicket import Thicket
-
     wanted = set(profiles)
     missing = wanted - set(tk.profile)
     if missing:
         raise KeyError(f"unknown profiles: {sorted(map(str, missing))}")
 
-    meta_mask = tk.metadata.index.isin(wanted)
-    new_meta = tk.metadata[meta_mask]
-
-    new_perf = tk.dataframe[tk.dataframe.index.partition(1).row_mask(wanted)]
-
-    return Thicket(tk.graph, new_perf, new_meta,
-                   profiles=[p for p in tk.profile if p in wanted],
-                   exc_metrics=list(tk.exc_metrics),
-                   inc_metrics=list(tk.inc_metrics),
-                   default_metric=tk.default_metric)
+    return tk._derive(
+        tk.dataframe[tk.dataframe.index.partition(1).row_mask(wanted)],
+        metadata=tk.metadata[tk.metadata.index.isin(wanted)],
+        profiles=[p for p in tk.profile if p in wanted])
 
 
 def filter_stats(tk, predicate: Callable[[dict], bool]):
@@ -53,17 +45,9 @@ def filter_stats(tk, predicate: Callable[[dict], bool]):
     restricted to the matching nodes.  The graph keeps its structure;
     nodes without rows simply render without values.
     """
-    from .thicket import Thicket
-
     keep_nodes = [
         node for node, row in tk.statsframe.iterrows() if predicate(row)
     ]
-    new_stats = tk.statsframe[tk.statsframe.index.isin(keep_nodes)]
-    new_perf = tk.dataframe[tk.dataframe.index.partition(0).row_mask(keep_nodes)]
-
-    out = Thicket(tk.graph, new_perf, tk.metadata.copy(),
-                  statsframe=new_stats, profiles=list(tk.profile),
-                  exc_metrics=list(tk.exc_metrics),
-                  inc_metrics=list(tk.inc_metrics),
-                  default_metric=tk.default_metric)
-    return out
+    return tk._derive(
+        tk.dataframe[tk.dataframe.index.partition(0).row_mask(keep_nodes)],
+        statsframe=tk.statsframe[tk.statsframe.index.isin(keep_nodes)])

@@ -5,13 +5,17 @@ one new Thicket per unique value combination, returned as an ordered
 mapping keyed exactly like the paper's output::
 
     [('clang-9.0.0', 1048576), ('clang-9.0.0', 4194304), ...]
+
+Keys are plain Python values; every NaN cell is the one key ``math.nan``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..frame.index import sort_positions
+import numpy as np
+
+from ..frame.index import _partition, factorize, plain_values, sort_positions
 
 __all__ = ["groupby_metadata", "GroupByResult"]
 
@@ -25,31 +29,30 @@ class GroupByResult(dict):
 
 
 def groupby_metadata(tk, by: str | Sequence[str]) -> GroupByResult:
-    """Partition *tk* by unique value (combinations) of metadata columns."""
-    from .filtering import filter_profile
-
-    if isinstance(by, str):
-        columns = [by]
-        scalar_key = True
-    else:
-        columns = list(by)
-        scalar_key = len(columns) == 1
+    """Partition *tk* by unique value (combinations) of metadata columns,
+    in sorted key order; each group keeps its parent's row order."""
+    columns = [by] if isinstance(by, str) else list(by)
     for c in columns:
         if c not in tk.metadata:
             raise KeyError(f"metadata column {c!r} not found")
+    meta = tk.metadata
+    cells = [plain_values(meta.column(c)) for c in columns]
+    keys = factorize(list(zip(*cells)) if cells else [()] * len(meta))
+    n = len(keys.uniques)
 
-    buckets: dict[tuple, list] = {}
-    for pid, row in tk.metadata.iterrows():
-        key = tuple(
-            row[c].item() if hasattr(row[c], "item") else row[c] for c in columns
-        )
-        buckets.setdefault(key, []).append(pid)
+    def by_group(meta_rows: np.ndarray):  # row -1 (no metadata): code n
+        return _partition(list(range(n + 1)),
+                          np.append(keys.codes, n)[meta_rows])
 
-    keys = list(buckets.keys())
-    ordered = [keys[i] for i in sort_positions(keys)]
+    profiles = tk.dataframe.index.partition(1)
+    rows = by_group(meta.index.get_indexer(profiles.uniques)[profiles.codes])
+    listed = by_group(meta.index.get_indexer(tk.profile))
 
     result = GroupByResult()
-    for key in ordered:
-        out_key = key[0] if scalar_key else key
-        result[out_key] = filter_profile(tk, buckets[key])
+    for code in sort_positions(keys.uniques):
+        key = keys.uniques[code]
+        result[key[0] if len(columns) == 1 else key] = tk._derive(
+            tk.dataframe.take(rows.segment(code)),
+            metadata=meta.take(keys.segment(code)),
+            profiles=[tk.profile[i] for i in listed.segment(code)])
     return result

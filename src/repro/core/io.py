@@ -101,7 +101,8 @@ def decode_table(table: dict, index: Index) -> DataFrame:
     (v2; v1 has no marks and relies on the frame's inference).  An
     unmarked v2 column that inference would make float (numbers mixed
     with ``None``) stays an object column, as it was when saved.  A row
-    shorter than the header is a :class:`CorruptStoreError`.
+    shorter than the header, or a row count other than the index length,
+    is a :class:`CorruptStoreError`.
     """
     cols = [_decode_key(c) for c in table["columns"]]
     float_cols = {_decode_key(c) for c in table.get("float_columns", [])}
@@ -111,10 +112,14 @@ def decode_table(table: dict, index: Index) -> DataFrame:
     if len(columns) < len(cols):
         raise CorruptStoreError(
             f"a data row has fewer than its table's {len(cols)} columns")
-    # None → NaN in float columns; an array, so an empty one stays float
-    df = DataFrame({c: np.array(v, dtype=np.float64) if c in float_cols
-                    else list(v) for c, v in zip(cols, columns)},
-                   index=index, columns=cols)
+    try:
+        # None → NaN in float columns; an array, so an empty one stays float
+        df = DataFrame({c: np.array(v, dtype=np.float64) if c in float_cols
+                        else list(v) for c, v in zip(cols, columns)},
+                       index=index, columns=cols)
+    except ValueError as e:
+        raise CorruptStoreError(f"a table of {len(data)} rows on "
+                                f"{len(index)} index entries: {e}") from e
     for c, values in zip(cols, columns):
         if marked and c not in float_cols and df.column(c).dtype.kind == "f":
             df[c] = np.fromiter(values, dtype=object, count=len(values))

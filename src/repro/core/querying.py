@@ -90,7 +90,6 @@ def _node_truth(values: np.ndarray, part: LevelPartition, ref: AttrRef,
 def query_thicket(tk, matcher: QueryMatcher, squash: bool = True):
     """Apply *matcher* to *tk*; returns a new Thicket of matched paths."""
     from ..graph.squash import squash_graph
-    from .thicket import Thicket
 
     frame = tk.dataframe
     part = frame.index.partition(0)
@@ -123,9 +122,4 @@ def query_thicket(tk, matcher: QueryMatcher, squash: bool = True):
     else:
         new_graph = tk.graph
 
-    out = Thicket(new_graph, new_perf, tk.metadata.copy(),
-                  profiles=list(tk.profile),
-                  exc_metrics=list(tk.exc_metrics),
-                  inc_metrics=list(tk.inc_metrics),
-                  default_metric=tk.default_metric)
-    return out
+    return tk._derive(new_perf, graph=new_graph)

@@ -9,12 +9,13 @@ the paper's Fig. 9 (``Retiring_std``, ``time (exc)_std``).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from ...frame.groupby import suffix_key
-from ...frame.index import factorize
+from ...frame.index import factorize, plain_values
 from ...frame.segment import SEGMENT_KERNELS, Segments, segment_values
 from ...obs import counter as obs_counter
 from ...obs import span as obs_span
@@ -63,16 +64,6 @@ def grouped_values(tk, column: Hashable) -> tuple[list, list[np.ndarray]]:
             [arrays[c] if c >= 0 else empty for c in _statsframe_codes(tk)])
 
 
-def _metadata_key(columns: list[np.ndarray], row: int) -> tuple | None:
-    """Metadata row *row* of *columns* as plain Python scalars; ``None``
-    for no row (-1) or when a value is ``None`` or NaN."""
-    if row < 0:
-        return None
-    parts = tuple(c[row].item() if isinstance(c[row], np.generic) else c[row]
-                  for c in columns)
-    return None if any(v is None or v != v for v in parts) else parts
-
-
 def grouped_by_metadata(tk, column: Hashable, by: Hashable | Sequence[Hashable]
                         ) -> dict[Any, dict[Hashable, np.ndarray]]:
     """A metric's values per call-tree node and metadata value.
@@ -86,14 +77,16 @@ def grouped_by_metadata(tk, column: Hashable, by: Hashable | Sequence[Hashable]
     (node, key) pair with no values is absent.
     """
     several = isinstance(by, (list, tuple))
-    columns = [tk.metadata.column(c) for c in (by if several else [by])]
+    cells = [plain_values(tk.metadata.column(c))
+             for c in (by if several else [by])]
+    meta_keys = list(zip(*cells)) if cells else [()] * len(tk.metadata)
     index = tk.dataframe.index
     nodes, profiles = index.partition(0), index.partition(1)
     key_codes: dict[Hashable, int] = {}
     profile_key = np.full(len(profiles.uniques), -1, dtype=np.intp)
     for p, row in enumerate(tk.metadata.index.get_indexer(profiles.uniques)):
-        key = _metadata_key(columns, row)
-        if key is not None:
+        key = meta_keys[row] if row >= 0 else (None,)
+        if None not in key and math.nan not in key:
             key = key if several else key[0]
             profile_key[p] = key_codes.setdefault(key, len(key_codes))
     row_key = profile_key[profiles.codes]

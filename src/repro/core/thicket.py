@@ -224,13 +224,25 @@ class Thicket:
 
     def copy(self) -> "Thicket":
         """Deep-copy the tables; share the (immutable) graph nodes."""
-        return Thicket(self.graph, self.dataframe.copy(), self.metadata.copy(),
-                       statsframe=self.statsframe.copy(),
-                       profiles=list(self.profile),
-                       exc_metrics=list(self.exc_metrics),
-                       inc_metrics=list(self.inc_metrics),
-                       default_metric=self.default_metric,
-                       provenance=dict(self.provenance))
+        out = self._derive(self.dataframe.copy(),
+                           statsframe=self.statsframe.copy())
+        out.provenance = dict(self.provenance)
+        return out
+
+    def _derive(self, dataframe: DataFrame, graph: Graph | None = None,
+                metadata: DataFrame | None = None,
+                profiles: Sequence[Any] | None = None,
+                statsframe: DataFrame | None = None) -> "Thicket":
+        """The sub-thicket of *dataframe*, with this thicket's metric
+        lists and, unless given, its graph, metadata and profiles."""
+        return Thicket(self.graph if graph is None else graph, dataframe,
+                       self.metadata.copy() if metadata is None else metadata,
+                       statsframe=statsframe,
+                       profiles=(list(self.profile) if profiles is None
+                                 else profiles),
+                       exc_metrics=self.exc_metrics,
+                       inc_metrics=self.inc_metrics,
+                       default_metric=self.default_metric)
 
     def tree(self, metric_column: str | None = None, precision: int = 3,
              color: bool = False) -> str:
@@ -402,19 +414,14 @@ class Thicket:
         """Column → sorted unique values of the metadata table.
 
         The "quickly inspect which simulation parameters are present"
-        step of §3.2.1.
+        step of §3.2.1.  Values are plain Python values; every NaN cell
+        is the one ``math.nan``, listed once.
         """
-        from ..frame.index import sort_positions
+        from ..frame.index import plain_values, sort_positions
 
         out: dict[str, list] = {}
         for col in self.metadata.columns:
-            values = []
-            seen: set = set()
-            for v in self.metadata.column(col):
-                key = v.item() if hasattr(v, "item") else v
-                if key not in seen:
-                    seen.add(key)
-                    values.append(key)
+            values = list(dict.fromkeys(plain_values(self.metadata.column(col))))
             out[str(col)] = [values[i] for i in sort_positions(values)]
         return out
 
@@ -441,11 +448,7 @@ class Thicket:
         new_graph, node_map = squash_graph(self.graph, keep)
         perf = self.dataframe[keep_code[nodes.codes]]
         perf.index = perf.index.relabel(0, node_map)
-        return Thicket(new_graph, perf, self.metadata.copy(),
-                       profiles=list(self.profile),
-                       exc_metrics=list(self.exc_metrics),
-                       inc_metrics=list(self.inc_metrics),
-                       default_metric=self.default_metric)
+        return self._derive(perf, graph=new_graph)
 
     def unify_statsframe_index(self) -> None:
         """Rebuild the statsframe skeleton after structural changes."""

@@ -26,6 +26,7 @@ cache with it.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from operator import itemgetter
 from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping,
@@ -34,7 +35,7 @@ from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping,
 import numpy as np
 
 __all__ = ["Index", "MultiIndex", "RangeIndex", "LevelPartition",
-           "ensure_index", "factorize"]
+           "ensure_index", "factorize", "plain_values"]
 
 
 def _as_object_array(values: Iterable[Any]) -> np.ndarray:
@@ -118,6 +119,15 @@ def _partition(uniques: list, codes: np.ndarray) -> LevelPartition:
 def factorize(labels: Iterable[Any]) -> LevelPartition:
     """Partition row positions by label (see :class:`LevelPartition`)."""
     return _partition(*_codes_of(labels))
+
+
+def plain_values(values: np.ndarray) -> list:
+    """A column's cells as plain Python keys: numpy scalars unwrapped,
+    every NaN the one ``math.nan`` (so all NaN cells are one key)."""
+    cells = values.tolist() if values.dtype.kind != "O" else [
+        v.item() if isinstance(v, np.generic) else v for v in values]
+    return [math.nan if isinstance(v, float) and v != v else v
+            for v in cells]
 
 
 # Row keys combine the level codes in mixed radix; before a level would

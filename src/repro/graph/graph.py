@@ -17,7 +17,9 @@ __all__ = ["Graph"]
 
 
 class Graph:
-    """A rooted forest of call-tree nodes."""
+    """A rooted forest of call-tree nodes, snapshotted at construction:
+    one walk numbers the nodes (``_nid``) in pre-order and keeps the
+    order that traversal, ``len`` and the finders read."""
 
     def __init__(self, roots: Iterable[Node]):
         self.roots = list(roots)
@@ -25,7 +27,14 @@ class Graph:
             if root.parent is not None:
                 raise CompositionError(f"root {root!r} has a parent, "
                                        f"{root.parent!r}")
-        self.enumerate_traverse()
+        order: list[Node] = []
+        stack = self.roots[::-1]
+        while stack:
+            node = stack.pop()
+            node._nid = len(order)
+            order.append(node)
+            stack.extend(reversed(node.children))
+        self._order = order
 
     # ------------------------------------------------------------------
     @classmethod
@@ -65,49 +74,36 @@ class Graph:
 
     # ------------------------------------------------------------------
     def traverse(self, order: str = "pre") -> Iterator[Node]:
-        for root in self.roots:
-            yield from root.traverse(order)
+        if order == "pre":
+            return iter(self._order)
+        return (node for root in self.roots for node in root.traverse(order))
 
     def __iter__(self) -> Iterator[Node]:
-        return self.traverse()
+        return iter(self._order)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.traverse())
+        return len(self._order)
 
     def node_order(self) -> list[Node]:
-        """Every node in pre-order, as :meth:`traverse` yields them."""
-        order: list[Node] = []
-        stack = self.roots[::-1]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(reversed(node.children))
-        return order
-
-    def enumerate_traverse(self) -> None:
-        """Assign stable node ids in pre-order."""
-        for i, node in enumerate(self.traverse()):
-            node._nid = i
+        """A new list of every node in pre-order."""
+        return list(self._order)
 
     def find(self, name: str) -> Node | None:
         """First node (pre-order) whose frame name equals *name*."""
-        for node in self.traverse():
-            if node.frame.name == name:
-                return node
-        return None
+        return next((n for n in self._order if n.frame.name == name), None)
 
     def find_all(self, predicate: str | Callable[[Node], bool]) -> list[Node]:
         if isinstance(predicate, str):
             wanted = predicate
             predicate = lambda n: n.frame.name == wanted  # noqa: E731
-        return [n for n in self.traverse() if predicate(n)]
+        return [n for n in self._order if predicate(n)]
 
     # ------------------------------------------------------------------
     def copy(self) -> tuple["Graph", dict[Node, Node]]:
         """Deep copy of the structure; returns (graph, old→new node map)."""
         from .squash import squash_graph
 
-        return squash_graph(self, set(self.traverse()))
+        return squash_graph(self, set(self._order))
 
     # ------------------------------------------------------------------
     # structural identity

@@ -69,6 +69,7 @@ import numpy as np
 
 from ..errors import (
     CompositionError,
+    ExecutionError,
     ProfileConflictError,
     ReaderError,
     ReproError,
@@ -444,13 +445,16 @@ def _load_parallel(outcomes: _Outcomes, tasks, policy: ResiliencePolicy,
     """
     report = outcomes.report
     paths = [path for _, path in tasks]
-    executor = SupervisedExecutor(
-        policy, breaker_key=lambda key: str(Path(key).parent),
-        sleep=sleep)
+    try:
+        executor = SupervisedExecutor(
+            policy, breaker_key=lambda key: str(Path(key).parent),
+            sleep=sleep)
+    except ValueError as e:  # breaker settings; ResiliencePolicy checks them
+        raise ExecutionError(f"cannot start the worker pool: {e}") from e
     with _timed(outcomes.timings, "execute"), \
             obs_span("ingest.parallel", tasks=len(tasks),
                      jobs=policy.jobs):
-        results = executor.map(_read_task, paths, keys=paths)
+        results = executor.map(_read_task, paths, key=str)
     report.breaker_trips += executor.breaker.trips
     first_error: ReproError | None = None
     for (idx, source), result in zip(tasks, results):
@@ -620,10 +624,15 @@ def load_ensemble(sources: Iterable[Any] | Any,
                 }
                 with _timed(timings, "compose"), \
                         obs_span("ingest.compose", profiles=len(gfs)):
-                    tk = Thicket._compose(gfs, profile_ids,
-                                          intersection=intersection,
-                                          fill_perfdata=fill_perfdata,
-                                          provenance=provenance)
+                    try:
+                        tk = Thicket._compose(gfs, profile_ids,
+                                              intersection=intersection,
+                                              fill_perfdata=fill_perfdata,
+                                              provenance=provenance)
+                    except ReproError:
+                        raise
+                    except ValueError as e:  # a GraphFrame that does not fit
+                        raise CompositionError(f"cannot compose: {e}") from e
                 top.set("loaded", len(gfs))
                 top.set("quarantined", report.n_quarantined)
                 if report.resumed or report.resumed_quarantined:

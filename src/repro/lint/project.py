@@ -53,7 +53,7 @@ __all__ = [
 
 #: bumped whenever the summary shape changes; part of the cache key so
 #: stale cache entries from older lint versions are never trusted
-SUMMARY_SCHEMA_VERSION = 3
+SUMMARY_SCHEMA_VERSION = 4
 
 #: pseudo-lock token for ``with SignalGuard():`` critical sections —
 #: signal deferral is process-global, so one token is the right
@@ -325,6 +325,8 @@ class _Extractor(ast.NodeVisitor):
         base = node.module or ""
         if node.level:
             pkg_parts = self.s.name.split(".")
+            if Path(self.s.path).name == "__init__.py":
+                pkg_parts.append("__init__")  # a package is its own anchor
             # relative to the containing package: one level strips the
             # module's own name, further levels strip packages
             anchor = pkg_parts[:-node.level] if len(pkg_parts) >= node.level \

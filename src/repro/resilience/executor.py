@@ -237,21 +237,18 @@ class SupervisedExecutor:
 
     # -- public API -----------------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            keys: Sequence[str] | None = None) -> list[TaskOutcome]:
+            key: Callable[[Any], Any] | None = None) -> list[TaskOutcome]:
         """Run ``fn`` over *items*; returns outcomes in input order.
 
-        *keys* label the tasks for attribution (defaults to the item
-        index); the label also feeds ``breaker_key`` to pick each
-        task's circuit-breaker domain.  Never raises for a task
+        ``str(key(item))`` labels each task for attribution (default:
+        the item's index); the label also feeds ``breaker_key`` to pick
+        each task's circuit-breaker domain.  Never raises for a task
         failure — every item yields a :class:`TaskOutcome`, failed ones
         carrying a typed :class:`~repro.errors.ReproError`.
         """
         items = list(items)
-        keys = ([str(k) for k in keys] if keys is not None
+        keys = ([str(key(item)) for item in items] if key is not None
                 else [str(i) for i in range(len(items))])
-        if len(keys) != len(items):
-            raise ValueError(
-                f"{len(keys)} keys for {len(items)} items")
         if not items:
             return []
         with obs_span("exec.map", tasks=len(items),

@@ -16,6 +16,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from ..frame.index import plain_values
 from ..ioutil import atomic_write_text
 
 __all__ = ["tree_table_payload", "pcp_payload", "export_json"]
@@ -50,22 +51,23 @@ def tree_table_payload(tk, metrics: Sequence[Hashable] | None = None,
             "children": [emit(c) for c in node.children],
         }
 
-    group_of = {}
+    index = tk.dataframe.index
+    nodes, profiles = index.partition(0), index.partition(1)
+    heads = [{"profile": str(p)} for p in profiles.uniques]
     if group_column is not None:
-        for pid, row in tk.metadata.iterrows():
-            v = row[group_column]
-            group_of[pid] = v.item() if hasattr(v, "item") else v
+        group_of = dict(zip(tk.metadata.index.values,
+                            plain_values(tk.metadata.column(group_column))))
+        for head, p in zip(heads, profiles.uniques):
+            head["group"] = group_of.get(p)
 
     rows: dict[int, list[dict]] = {i: [] for i in node_ids.values()}
-    columns = {m: tk.dataframe.column(m) for m in metrics
+    columns = {str(m): tk.dataframe.column(m) for m in metrics
                if m in tk.dataframe}
-    for i, t in enumerate(tk.dataframe.index.values):
-        entry: dict = {"profile": str(t[1])}
-        if group_column is not None:
-            entry["group"] = group_of.get(t[1])
-        for m, col in columns.items():
-            entry[str(m)] = _num(col[i])
-        rows[node_ids[t[0]]].append(entry)
+    for code, node in enumerate(nodes.uniques):
+        rows[node_ids[node]] = [
+            {**heads[profiles.codes[i]],
+             **{m: _num(col[i]) for m, col in columns.items()}}
+            for i in nodes.segment(code)]
 
     groups = sorted({e.get("group") for lst in rows.values() for e in lst
                      if e.get("group") is not None},
@@ -95,18 +97,16 @@ def pcp_payload(tk, metadata_columns: Sequence[str],
     node = tk.get_node(node_name) if node_name else None
     metric_of: dict[Hashable, dict] = {m: {} for m in metric_columns}
     if node is not None:
+        index = tk.dataframe.index
+        rows, profiles = index.partition(0).positions(node), index.partition(1)
+        pids = [profiles.uniques[c] for c in profiles.codes[rows]]
         for m in metric_columns:
-            col = tk.dataframe.column(m)
-            for i, t in enumerate(tk.dataframe.index.values):
-                if t[0] is node:
-                    metric_of[m][t[1]] = _num(col[i])
+            metric_of[m] = dict(zip(pids, map(_num, tk.dataframe.column(m)[rows])))
 
+    cells = {c: plain_values(tk.metadata.column(c)) for c in metadata_columns}
     records = []
-    for pid, row in tk.metadata.iterrows():
-        rec: dict = {"profile": str(pid)}
-        for c in metadata_columns:
-            v = row[c]
-            rec[c] = v.item() if hasattr(v, "item") else v
+    for i, pid in enumerate(tk.metadata.index.values):
+        rec = {"profile": str(pid), **{c: cells[c][i] for c in cells}}
         for m in metric_columns:
             rec[str(m)] = metric_of[m].get(pid)
         records.append(rec)

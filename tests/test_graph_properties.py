@@ -127,3 +127,36 @@ def test_traversal_visits_each_node_once(forest, other, data):
     shape = [[(n.name, n.parent and n.parent._nid) for n in graph.traverse()]
              for graph in (built[0], g, built[4])]
     assert shape[0] == shape[1] == shape[2]
+
+
+def walk(nodes, order):
+    """Nodes of *nodes*' subtrees by plain recursion."""
+    out = []
+    for node in nodes:
+        if order == "pre":
+            out.append(node)
+        out.extend(walk(node.children, order))
+        if order == "post":
+            out.append(node)
+    return out
+
+
+@settings(max_examples=60)
+@given(forests)
+def test_graph_snapshot_matches_recursive_walk(forest):
+    graph = Graph.from_literal(forest)
+    pre = walk(graph.roots, "pre")
+    assert len(graph) == len(pre)
+    assert graph.node_order() == pre
+    assert list(graph.traverse("pre")) == pre == list(graph)
+    assert list(graph.traverse("post")) == walk(graph.roots, "post")
+    assert [n._nid for n in pre] == list(range(len(pre)))
+    for name in {n.frame.name for n in pre} | {"ghost"}:
+        named = [n for n in pre if n.frame.name == name]
+        assert graph.find(name) is (named[0] if named else None)
+        assert graph.find_all(name) == named
+    leaves = [n for n in pre if not n.children]
+    assert graph.find_all(lambda n: not n.children) == leaves
+    # node_order hands out a copy: changing it leaves the graph as it was
+    graph.node_order().clear()
+    assert graph.node_order() == pre

@@ -14,6 +14,7 @@ the project pass — the gate ``scripts/check.sh`` enforces.
 
 from __future__ import annotations
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -784,6 +785,19 @@ class TestCli:
 # ----------------------------------------------------------------------
 
 class TestSelfHosting:
+    def test_package_init_anchors_its_relative_imports(self):
+        # `from .node import Node` in repro/graph/__init__.py names
+        # repro.graph.node.Node, so calls through the package re-export
+        # resolve, and `nodes[parent].connect(node)` in the reader is
+        # the project's Node.connect, not a socket operation
+        index = ProjectIndex(
+            extract_summary(path, ast.parse(path.read_text()))
+            for path in SRC_REPRO.rglob("*.py"))
+        assert index.resolve_name("repro.graph", "Node") == (
+            "class", ("repro.graph.node", "Node"))
+        assert index.functions["repro.readers.caliper:_assemble"][
+            "blocking"] == []
+
     def test_src_repro_clean_under_project_rules(self):
         result = run_lint([SRC_REPRO], project=True)
         assert result.ok, "\n".join(

@@ -273,6 +273,107 @@ def test_grouped_by_metadata_matches_naive_reference(spec, data):
                     assert list(got[node][key]) == values
 
 
+# --- splitting into sub-thickets by metadata ------------------------------
+
+split_value = st.one_of(group_value, st.sampled_from([0.5, 2.0]))
+
+
+def naive_plain(v):
+    """One metadata cell as a plain key: numpy scalars unwrapped, every
+    NaN the one ``math.nan``."""
+    v = v.item() if isinstance(v, np.generic) else v
+    return math.nan if isinstance(v, float) and math.isnan(v) else v
+
+
+def naive_split(tk, by) -> dict:
+    """Profiles bucketed row by row, in sorted key order, each bucket
+    through ``filter_profile``."""
+    names = [by] if isinstance(by, str) else list(by)
+    buckets: dict = {}
+    for i, pid in enumerate(tk.metadata.index.values):
+        key = tuple(naive_plain(tk.metadata.column(n)[i]) for n in names)
+        buckets.setdefault(key, []).append(pid)
+    keys = list(buckets)
+    return {(k[0] if len(names) == 1 else k): filter_profile(tk, buckets[k])
+            for k in (keys[i] for i in sort_positions(keys))}
+
+
+def assert_same_cells(a, b):
+    assert a.dtype == b.dtype
+    assert [naive_plain(v) for v in a] == [naive_plain(v) for v in b]
+
+
+def same_thicket(got, want):
+    assert row_keys(got) == row_keys(want)
+    assert list(got.metadata.index.values) == list(want.metadata.index.values)
+    assert got.profile == want.profile
+    assert got.graph is want.graph
+    assert list(got.statsframe.index.values) == got.graph.node_order()
+    assert got.dataframe.columns == want.dataframe.columns
+    for col in got.dataframe.columns:
+        assert_same_cells(got.dataframe.column(col),
+                          want.dataframe.column(col))
+    assert (got.exc_metrics, got.inc_metrics, got.default_metric) == (
+        want.exc_metrics, want.inc_metrics, want.default_metric)
+
+
+@settings(deadline=None)
+@given(ensembles(), st.data())
+def test_groupby_metadata_matches_naive_split(spec, data):
+    n = spec["n_profiles"]
+    columns = {name: data.draw(st.lists(split_value, min_size=n, max_size=n))
+               for name in ("size", "arch")}
+    columns["ranks"] = data.draw(st.lists(st.integers(1, 3), min_size=n,
+                                          max_size=n))
+    tk = build(spec, metadata=columns)
+    # a profile list in another order than the metadata rows
+    tk.profile = data.draw(st.permutations(tk.profile))
+    stats.mean(tk, ["time"])  # the partitions are cached before splitting
+    for by in ("size", "ranks", ["arch"], ("size", "arch"),
+               ["ranks", "arch"]):
+        got = tk.groupby(by)
+        want = naive_split(tk, by)
+        assert list(got) == list(want)  # same keys, same order
+        for key in got:
+            parts = key if isinstance(key, tuple) else (key,)
+            assert plain(key)
+            assert all(p is math.nan for p in parts
+                       if isinstance(p, float) and math.isnan(p))
+            same_thicket(got[key], want[key])
+            assert row_keys(got[key]) == naive_kept(
+                tk, lambda t: t[1] in set(got[key].profile))
+        # the groups partition the profiles
+        listed = [p for sub in got.values() for p in sub.profile]
+        assert sorted(listed) == sorted(tk.profile)
+        if isinstance(by, str):
+            nan_keys = [k for k in got if isinstance(k, float)
+                        and math.isnan(k)]
+            assert len(nan_keys) == (any(
+                naive_plain(v) is math.nan
+                for v in tk.metadata.column(by)))
+    for sub in got.values():
+        assert_stored_cleanly(sub)
+
+
+@settings(deadline=None)
+@given(ensembles(), st.data())
+def test_get_unique_metadata_matches_naive_reference(spec, data):
+    n = spec["n_profiles"]
+    tk = build(spec, metadata={
+        name: data.draw(st.lists(split_value, min_size=n, max_size=n))
+        for name in ("size", "arch")})
+    got = tk.get_unique_metadata()
+    for col in ("size", "arch"):
+        seen: list = []
+        for v in tk.metadata.column(col):
+            v = naive_plain(v)
+            if v not in seen:  # identity, then equality
+                seen.append(v)
+        assert got[col] == [seen[i] for i in sort_positions(seen)]
+        assert sum(v is math.nan for v in got[col]) <= 1
+        assert all(plain(v) for v in got[col])
+
+
 # --- GroupBy.agg ---------------------------------------------------------
 
 AGG_REFERENCE = dict(REFERENCE, first=lambda a: a[0] if a else None,

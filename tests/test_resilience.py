@@ -275,6 +275,12 @@ class TestInlineExecutor:
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert all(o.ok and o.status == "ok" for o in outcomes)
 
+    def test_key_labels_each_task_from_its_item(self):
+        ex = SupervisedExecutor(ResiliencePolicy(jobs=2))
+        outcomes = ex.map(_square, [3, 1], key=lambda v: f"item-{v}")
+        assert [o.key for o in outcomes] == ["item-3", "item-1"]
+        assert [o.key for o in ex.map(_square, [3, 1])] == ["0", "1"]
+
     def test_call_with_retries_stops_at_a_permanent_error(self):
         calls, delays = [], []
 

@@ -33,6 +33,7 @@ from repro.core.io import (
     FORMAT_V1,
     FORMAT_V2,
     _payload_to_thicket,
+    decode_table,
     load_thicket,
     save_thicket,
     thicket_from_json,
@@ -196,6 +197,12 @@ def test_short_data_row_is_a_typed_error():
     payload["performance_data"]["data"][2].pop()
     with pytest.raises(CorruptStoreError, match="structurally invalid"):
         thicket_from_json(_resealed(payload))
+
+
+def test_row_count_other_than_the_index_is_a_typed_error():
+    table = {"columns": ["a"], "data": [[1.0], [2.0]]}
+    with pytest.raises(CorruptStoreError, match="2 rows on 3 index"):
+        decode_table(table, Index([10, 11, 12]))
 
 
 def test_zero_column_table_keeps_its_row_count():
